@@ -1,6 +1,7 @@
 // Helpers of the service benchmark (service_bench.cpp): sample statistics,
-// ratio bases, and the layer decorators the traced run wraps around the
-// library's extension points. Everything here is header-only so the
+// ratio bases, the windows of the end-to-end figures, the quality guards'
+// ranking of designs, and the layer decorators the traced run wraps around
+// the library's extension points. Everything here is header-only so the
 // self-test binary (selftest.cpp) exercises exactly the code the benchmark
 // runs.
 //
@@ -76,6 +77,14 @@ inline double mean(const std::vector<double>& v) {
   return acc / static_cast<double>(v.size());
 }
 
+/// Median; the mean of the two middle samples when n is even, 0 when empty.
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 // ---------------------------------------------------------------------------
 // Ratio bases. Every ratio the benchmark prints is one of these, so each
 // numerator is divided by the base its documentation states.
@@ -111,6 +120,87 @@ inline double lowFrac(std::uint64_t low_iterations,
                       std::uint64_t iterations) {
   return ratio(static_cast<double>(low_iterations),
                static_cast<double>(iterations));
+}
+
+// ---------------------------------------------------------------------------
+// Windows of completed sessions. On a shared machine the speed of a run
+// moves in bursts of a few seconds; the end-to-end figures are therefore
+// taken per window of the run and reported as the median over windows, so
+// one slow burst does not move them.
+
+/// Sessions per window: enough for a supported p95 (kTailSamples beyond it).
+constexpr std::size_t kWindowSessions = 200;
+
+struct WindowStats {
+  double sessions_per_s = 0.0;
+  double session_s_p50 = 0.0;
+  double session_s_p95 = 0.0;
+};
+
+/// Split the completed sessions, in completion order, into
+/// max(1, n / min_sessions) consecutive windows of near-equal size. A
+/// window's throughput is its sessions over the time from the previous
+/// window's last completion (the loop's start for the first) to its own
+/// last; its latencies are its sessions' admission-to-result times.
+/// @p done_at holds each completion's time since the loop started
+/// (non-decreasing), @p latency each session's time, index for index.
+inline std::vector<WindowStats> windowStats(const std::vector<double>& done_at,
+                                            const std::vector<double>& latency,
+                                            std::size_t min_sessions) {
+  MFBO_CHECK(done_at.size() == latency.size(),
+             "windowStats: ", done_at.size(), " completion times but ",
+             latency.size(), " latencies");
+  MFBO_CHECK(min_sessions > 0, "windowStats: empty windows");
+  const std::size_t n = done_at.size();
+  std::vector<WindowStats> windows;
+  if (n == 0) return windows;
+  const std::size_t count = std::max<std::size_t>(1, n / min_sessions);
+  double previous_end = 0.0;
+  for (std::size_t w = 0; w < count; ++w) {
+    const std::size_t begin = w * n / count;
+    const std::size_t end = (w + 1) * n / count;
+    const std::vector<double> times(latency.begin() + begin,
+                                    latency.begin() + end);
+    WindowStats s;
+    s.sessions_per_s = ratio(static_cast<double>(end - begin),
+                             done_at[end - 1] - previous_end);
+    s.session_s_p50 = quantile(times, 0.5);
+    s.session_s_p95 = quantile(times, 0.95);
+    windows.push_back(s);
+    previous_end = done_at[end - 1];
+  }
+  return windows;
+}
+
+// ---------------------------------------------------------------------------
+// Ranking of evaluations for the quality guards
+
+/// One evaluated design as the quality guards rank it.
+struct Candidate {
+  double objective = 0.0;
+  double violation = 0.0;  ///< sum of max(c, 0) over the constraints
+  bool feasible = false;   ///< every constraint c < 0
+};
+
+inline Candidate makeCandidate(double objective,
+                               const std::vector<double>& constraints) {
+  Candidate c;
+  c.objective = objective;
+  c.feasible = true;
+  for (const double v : constraints) {
+    c.feasible = c.feasible && v < 0.0;
+    c.violation += std::max(v, 0.0);
+  }
+  return c;
+}
+
+/// Feasibility first: a feasible design beats an infeasible one, feasible
+/// designs rank by objective, infeasible ones by total violation. Ties do
+/// not rank, so the earliest of equal designs stays the best.
+inline bool betterCandidate(const Candidate& a, const Candidate& b) {
+  if (a.feasible != b.feasible) return a.feasible;
+  if (a.feasible) return a.objective < b.objective;
+  return a.violation < b.violation;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Self-tests of the service benchmark's helpers (bench_support.h): the
-// percentile-reporting rule, the ratio bases, the concurrent histogram, and
-// the byte-for-byte transparency of the layer decorators.
+// percentile-reporting rule, the median and the windows of the end-to-end
+// figures, the ratio bases, the quality guards' ranking of designs, the
+// concurrent histogram, and the byte-for-byte transparency of the layer
+// decorators.
 //
 //   python3 perfbench/run.py --selftest
 //
@@ -69,6 +71,48 @@ void testQuantile() {
   EXPECT(threw);
 }
 
+void testMedian() {
+  EXPECT(perfbench::median({}) == 0.0);
+  EXPECT(perfbench::median({3.0, 1.0, 2.0}) == 2.0);
+  EXPECT(perfbench::median({4.0, 1.0, 3.0, 2.0}) == 2.5);
+}
+
+void testWindows() {
+  using perfbench::windowStats;
+  EXPECT(windowStats({}, {}, 200).empty());
+  // Fewer sessions than one window: one window over the whole run, its
+  // throughput counted from the loop's start to the last completion.
+  const auto one = windowStats({1.0, 2.0, 4.0}, {1.0, 1.5, 3.0}, 200);
+  EXPECT(one.size() == 1);
+  EXPECT(one[0].sessions_per_s == 0.75);
+  EXPECT(one[0].session_s_p50 == 1.5);
+  EXPECT(one[0].session_s_p95 == 3.0);
+  // 10 sessions, windows of at least 3: three windows of 3, 3 and 4
+  // sessions, each timed from the previous window's last completion.
+  std::vector<double> done_at, latency;
+  for (int i = 1; i <= 10; ++i) {
+    done_at.push_back(i <= 6 ? i : 6.0 + 2.0 * (i - 6));  // slow at the end
+    latency.push_back(i <= 6 ? 1.0 : 5.0);
+  }
+  const auto three = windowStats(done_at, latency, 3);
+  EXPECT(three.size() == 3);
+  EXPECT(three[0].sessions_per_s == 1.0);  // 3 sessions over 0..3 s
+  EXPECT(three[1].sessions_per_s == 1.0);  // 3 sessions over 3..6 s
+  EXPECT(three[2].sessions_per_s == 0.5);  // 4 sessions over 6..14 s
+  EXPECT(three[2].session_s_p50 == 5.0);
+  // The slow last window does not move the medians over windows.
+  std::vector<double> per_s;
+  for (const auto& w : three) per_s.push_back(w.sessions_per_s);
+  EXPECT(perfbench::median(per_s) == 1.0);
+  bool threw = false;
+  try {
+    windowStats({1.0}, {}, 200);
+  } catch (const ContractViolation&) {
+    threw = true;
+  }
+  EXPECT(threw);
+}
+
 void testRatioBases() {
   EXPECT(perfbench::ratio(1.0, 0.0) == 0.0);
   EXPECT(perfbench::simShare(2.0, 4.0) == 0.5);
@@ -80,6 +124,25 @@ void testRatioBases() {
   EXPECT(perfbench::incrementalFrac(0, 0) == 0.0);
   // Low share: low-fidelity proposals over all proposals.
   EXPECT(perfbench::lowFrac(1, 4) == 0.25);
+}
+
+void testCandidateRanking() {
+  using perfbench::betterCandidate;
+  using perfbench::makeCandidate;
+  // Feasible means every constraint strictly below zero.
+  EXPECT(makeCandidate(1.0, {-1.0, -0.5}).feasible);
+  EXPECT(!makeCandidate(1.0, {-1.0, 0.0}).feasible);
+  EXPECT(makeCandidate(1.0, {2.0, -1.0, 0.5}).violation == 2.5);
+  EXPECT(makeCandidate(1.0, {}).feasible);
+  // A feasible design beats an infeasible one whatever the objectives.
+  EXPECT(betterCandidate(makeCandidate(9.0, {-1.0}), makeCandidate(-9.0, {1.0})));
+  EXPECT(!betterCandidate(makeCandidate(-9.0, {1.0}), makeCandidate(9.0, {-1.0})));
+  // Feasible designs rank by objective, infeasible ones by violation.
+  EXPECT(betterCandidate(makeCandidate(1.0, {-1.0}), makeCandidate(2.0, {-1.0})));
+  EXPECT(betterCandidate(makeCandidate(5.0, {0.5}), makeCandidate(1.0, {2.0})));
+  // Equal designs do not rank, so the earliest stays the best.
+  EXPECT(!betterCandidate(makeCandidate(1.0, {-1.0}), makeCandidate(1.0, {-1.0})));
+  EXPECT(!betterCandidate(makeCandidate(1.0, {1.0}), makeCandidate(0.0, {1.0})));
 }
 
 void testHistogram() {
@@ -224,7 +287,10 @@ void testSessionBytesUnchanged() {
 int main() {
   testPercentileRule();
   testQuantile();
+  testMedian();
+  testWindows();
   testRatioBases();
+  testCandidateRanking();
   testHistogram();
   testTimedProblemPassThrough();
   testTimedSurrogatePassThrough();

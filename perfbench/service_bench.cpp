@@ -11,7 +11,10 @@
 // prefix has been admitted); the sessions still in flight then drain, so
 // every admitted session completes and counts.
 //
-// --trace 0 measures the end-to-end metrics. --trace 1 runs the same loop
+// --trace 0 measures the end-to-end metrics. Their session figures run on
+// the process CPU clock, which a shared machine's other tenants do not
+// advance; the wall-clock figures are printed beside them without a bound
+// (perfbench/README.md, "Clocks"). --trace 1 runs the same loop
 // with the layer decorators of bench_support.h installed, then the same
 // sessions again without them, prints the per-layer metrics, the tracing
 // overhead (each end-to-end metric traced against untraced), and checks
@@ -22,6 +25,7 @@
 // The exit code is 1 when a correctness check fails, 2 on bad arguments.
 // perfbench/README.md documents the workloads and every metric.
 #include <sys/vfs.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -68,16 +72,19 @@ struct Workload {
   ProblemKind problem;
   std::size_t clients;           ///< C: sessions in flight at once
   std::size_t quality_sessions;  ///< sessions 0..Q-1 feed the quality guards
-  bool persist;                  ///< checkpoint_every = 1 into a directory
-  std::size_t churn_rounds;      ///< rebuild the manager every R rounds
+  /// > 0: checkpoint every step into a directory and rebuild the manager
+  /// every R rounds (the recovery path); 0: no persistence.
+  std::size_t churn_rounds;
+
+  bool persists() const { return churn_rounds > 0; }
 };
 
 // perfbench/README.md gives the reason for each workload, and why the
 // persisting fleet without churn is not one of them.
 constexpr Workload kWorkloads[] = {
-    {"pa_mfbo", ProblemKind::kPowerAmplifier, 4, 8, false, 0},
-    {"cp_mfbo", ProblemKind::kChargePump, 4, 8, false, 0},
-    {"fleet_churn", ProblemKind::kQuadratic, 16, 200, true, 25},
+    {"pa_mfbo", ProblemKind::kPowerAmplifier, 4, 8, 0},
+    {"cp_mfbo", ProblemKind::kChargePump, 4, 8, 0},
+    {"fleet_churn", ProblemKind::kQuadratic, 16, 200, 25},
 };
 
 const Workload* findWorkload(const std::string& name) {
@@ -187,9 +194,15 @@ service::SessionSpec sessionSpec(const Workload& w, std::uint64_t seed,
 // Result checks and quality
 
 struct Quality {
+  // The session's result: its best high-fidelity evaluation.
   double best_objective = 0.0;
   bool feasible = false;
   double sims_to_best = 0.0;  ///< equivalent sims when the best was found
+  // The best of the session's proposals (the history after the initial
+  // design), at whatever fidelity each was simulated.
+  double proposal_objective = 0.0;
+  bool proposal_feasible = false;
+  double proposal_cost = 0.0;  ///< equivalent sims when it was simulated
 };
 
 /// Validate one completed session's result document and extract its
@@ -244,6 +257,27 @@ std::string checkResult(const Json& doc, const bo::MfboOptions& options,
   quality->best_objective = best;
   quality->feasible = feasible;
   quality->sims_to_best = *reached;
+  // The history starts with the initial design (low prefix, then high),
+  // which the seed alone decides. On the circuit workloads every proposal
+  // is a low-fidelity simulation, so the result above is the initial
+  // design's best; the proposals show what acquisition and fitting found.
+  const std::size_t n_init = options.n_init_low + options.n_init_high;
+  if (history.size() <= n_init) return "no proposals after the initial design";
+  std::optional<perfbench::Candidate> best_proposal;
+  for (std::size_t i = n_init; i < history.size(); ++i) {
+    const Json& h = history.at(i);
+    std::vector<double> constraints;
+    for (const Json& c : h.at("constraints").items())
+      constraints.push_back(c.asNumber());
+    const perfbench::Candidate candidate =
+        perfbench::makeCandidate(h.at("objective").asNumber(), constraints);
+    if (best_proposal && !perfbench::betterCandidate(candidate, *best_proposal))
+      continue;
+    best_proposal = candidate;
+    quality->proposal_cost = h.at("cost").asNumber();
+  }
+  quality->proposal_objective = best_proposal->objective;
+  quality->proposal_feasible = best_proposal->feasible;
   return "";
 }
 
@@ -270,10 +304,17 @@ constexpr std::size_t kIdentityStride = 100;
 struct PassResult {
   double wall_s = 0.0;
   double cpu_s = 0.0;
+  double steal_s = 0.0;  ///< CPU time the host took from this machine
   std::size_t admitted = 0;
   std::size_t completed = 0;
   std::size_t failed = 0;
-  std::vector<double> session_s;
+  // Per completed session, on the wall clock and on the process CPU clock
+  // (CPU seconds of all threads; it stands still while the host or another
+  // tenant holds the CPUs).
+  std::vector<double> session_s;      ///< admission to result
+  std::vector<double> done_at;        ///< completion since the loop began
+  std::vector<double> session_cpu_s;  ///< admission to result, CPU clock
+  std::vector<double> cpu_done_at;    ///< completion since the loop, CPU clock
   std::map<std::size_t, std::string> results;  ///< index → resultJson bytes
   std::map<std::size_t, Quality> quality;
   std::vector<std::string> failures;  ///< sessions whose create/step threw
@@ -296,6 +337,20 @@ double processCpuSeconds() {
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
+/// CPU time the hypervisor has stolen from this machine, summed over its
+/// CPUs (the steal column of /proc/stat); 0 where that is not available.
+double machineStealSeconds() {
+  std::FILE* f = std::fopen("/proc/stat", "r");
+  if (f == nullptr) return 0.0;
+  unsigned long long v[8] = {};
+  const int read = std::fscanf(f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu",
+                               &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6],
+                               &v[7]);
+  std::fclose(f);
+  if (read != 8) return 0.0;
+  return static_cast<double>(v[7]) / static_cast<double>(sysconf(_SC_CLK_TCK));
+}
+
 bool fileExists(const std::string& path) {
   std::error_code ec;
   return std::filesystem::exists(path, ec);
@@ -316,7 +371,7 @@ PassResult runPass(const PassConfig& cfg) {
   const Workload& w = *cfg.workload;
   PassResult out;
   service::SessionManagerOptions manager_options;
-  if (w.persist) {
+  if (w.persists()) {
     resetDirectory(cfg.ckpt_dir);
     manager_options.checkpoint_dir = cfg.ckpt_dir;
     manager_options.checkpoint_every = 1;
@@ -326,12 +381,14 @@ PassResult runPass(const PassConfig& cfg) {
     std::size_t index;
     std::string id;
     Clock::time_point admitted;
+    double cpu_admitted;
   };
   std::vector<InFlight> in_flight;  // creation order == scheduling order
   std::size_t next_index = 0;
 
   const parallel::PoolStats pool_before = parallel::poolStats();
   const double cpu_before = processCpuSeconds();
+  const double steal_before = machineStealSeconds();
   const Clock::time_point start = Clock::now();
   const Clock::time_point deadline =
       start + std::chrono::duration_cast<Clock::duration>(
@@ -347,6 +404,7 @@ PassResult runPass(const PassConfig& cfg) {
     const std::size_t index = next_index++;
     ++out.admitted;
     const Clock::time_point t0 = Clock::now();
+    const double cpu0 = processCpuSeconds();
     try {
       manager->create(sessionSpec(w, cfg.seed, index, cfg.tracing));
     } catch (const std::exception& e) {
@@ -355,7 +413,7 @@ PassResult runPass(const PassConfig& cfg) {
       return;
     }
     out.create_s.push_back(secondsBetween(t0, Clock::now()));
-    in_flight.push_back({index, sessionId(index), t0});
+    in_flight.push_back({index, sessionId(index), t0, cpu0});
   };
   const auto forget = [&](std::size_t pos) {
     // destroy() erases the session before it builds the recovery file
@@ -383,7 +441,7 @@ PassResult runPass(const PassConfig& cfg) {
       thrown = e.what();
     }
     ++rounds;
-    if (w.persist) {
+    if (w.persists()) {
       for (std::size_t pos = 0; pos < in_flight.size(); ++pos)
         if (manager->session(in_flight[pos].id).steps() != steps_before[pos])
           ++out.ckpt_writes;  // checkpoint_every = 1: one document per step
@@ -410,7 +468,12 @@ PassResult runPass(const PassConfig& cfg) {
         continue;
       }
       const InFlight f = in_flight[pos];
-      out.session_s.push_back(secondsBetween(f.admitted, Clock::now()));
+      const Clock::time_point now = Clock::now();
+      const double cpu_now = processCpuSeconds();
+      out.session_s.push_back(secondsBetween(f.admitted, now));
+      out.done_at.push_back(secondsBetween(start, now));
+      out.session_cpu_s.push_back(cpu_now - f.cpu_admitted);
+      out.cpu_done_at.push_back(cpu_now - cpu_before);
       ++out.completed;
       out.steps += s.steps();
       if (cfg.tracing != nullptr)
@@ -438,7 +501,7 @@ PassResult runPass(const PassConfig& cfg) {
 
     // Traced persist workloads: time one explicit persist() of a running
     // session per round (rewrites the boundary stepRound just wrote).
-    if (cfg.tracing != nullptr && w.persist && !in_flight.empty()) {
+    if (cfg.tracing != nullptr && w.persists() && !in_flight.empty()) {
       const InFlight& f = in_flight[persist_probe++ % in_flight.size()];
       const Clock::time_point p0 = Clock::now();
       manager->persist(f.id);
@@ -486,6 +549,7 @@ PassResult runPass(const PassConfig& cfg) {
   manager.reset();
   out.wall_s = secondsBetween(start, Clock::now());
   out.cpu_s = processCpuSeconds() - cpu_before;
+  out.steal_s = machineStealSeconds() - steal_before;
   const parallel::PoolStats pool_after = parallel::poolStats();
   out.regions = pool_after.regions - pool_before.regions;
   out.pooled_regions = pool_after.pooled_regions - pool_before.pooled_regions;
@@ -503,29 +567,34 @@ std::string soloResult(const Workload& w, std::uint64_t seed,
 
 // ---------------------------------------------------------------------------
 // Set-up: everything a run does before its timed loop, repeated and
-// reported as the median.
+// reported as the median. Half the repetitions run before the timed loop
+// and half after it, so a burst of machine noise at one end of a run does
+// not move the median.
 
-constexpr int kSetupReps = 9;
+constexpr int kSetupRepsPerSide = 12;
+constexpr std::uint64_t kWarmupSeed = 1;
 
-double setupOnce(const Workload& w, std::uint64_t seed,
-                 const std::string& dir) {
+/// One set-up; returns its {wall, CPU-clock} seconds.
+std::pair<double, double> setupOnce(const Workload& w, const std::string& dir) {
   const Clock::time_point t0 = Clock::now();
+  const double cpu0 = processCpuSeconds();
   service::SessionManagerOptions options;
-  if (w.persist) {
+  if (w.persists()) {
     resetDirectory(dir);
     options.checkpoint_dir = dir;
   }
   service::SessionManager manager(options);
   // The workload's problem (circuit construction for PA / CP).
   const std::unique_ptr<bo::Problem> problem = makeProblem(w.problem);
-  // A tiny warm-up session: starts the pool, touches every layer once.
+  // A tiny warm-up session: starts the pool, touches every layer once. Its
+  // seed is fixed, so set-up does the same work whatever the run's seed.
   Workload warm = w;
   warm.problem = ProblemKind::kQuadratic;
-  manager.create(sessionSpec(warm, seed, 0, nullptr));
+  manager.create(sessionSpec(warm, kWarmupSeed, 0, nullptr));
   manager.runAll();
   const std::string id = sessionId(0);
   manager.destroy(id);
-  return secondsBetween(t0, Clock::now());
+  return {secondsBetween(t0, Clock::now()), processCpuSeconds() - cpu0};
 }
 
 // ---------------------------------------------------------------------------
@@ -552,25 +621,69 @@ double peakRssMb() {
   return kb * 1024.0 / 1e6;
 }
 
+/// Throughput and session latency of a pass on one clock, taken per window
+/// of the run and reported as the median over windows (bench_support.h,
+/// windowStats), with a note giving the sample counts.
+struct LoopFigures {
+  double sessions_per_s = 0.0;
+  double session_s_p50 = 0.0;
+  double session_s_p95 = 0.0;
+  std::string note;
+  std::string p95_note;
+};
+
+LoopFigures loopFigures(const std::vector<double>& done_at,
+                        const std::vector<double>& latency) {
+  const std::vector<perfbench::WindowStats> windows =
+      perfbench::windowStats(done_at, latency, perfbench::kWindowSessions);
+  const auto overWindows = [&](double perfbench::WindowStats::*field) {
+    std::vector<double> values;
+    for (const perfbench::WindowStats& w : windows) values.push_back(w.*field);
+    return perfbench::median(values);
+  };
+  const std::size_t n = latency.size();
+  const std::size_t per_window = windows.empty() ? 0 : n / windows.size();
+  LoopFigures f;
+  f.sessions_per_s = overWindows(&perfbench::WindowStats::sessions_per_s);
+  f.session_s_p50 = overWindows(&perfbench::WindowStats::session_s_p50);
+  f.session_s_p95 = overWindows(&perfbench::WindowStats::session_s_p95);
+  f.note = "n=" + std::to_string(n) + " sessions, median over " +
+           std::to_string(windows.size()) + " window(s) of ~" +
+           std::to_string(per_window);
+  f.p95_note = f.note;
+  if (!perfbench::percentileSupported(per_window, 0.95))
+    f.p95_note += ", " +
+                  std::to_string(perfbench::samplesBeyond(per_window, 0.95)) +
+                  " beyond p95: below the 10-sample tail rule";
+  return f;
+}
+
+/// The end-to-end metrics. Session figures run on the process CPU clock
+/// (perfbench/README.md, "Clocks"): on a shared machine the wall clock
+/// mostly measures the other tenants.
 std::vector<Metric> endToEndMetrics(const PassResult& r, double setup_s,
                                     double peak_rss_mb) {
-  const std::size_t n = r.session_s.size();
-  const std::string sessions = "n=" + std::to_string(n) + " sessions";
-  std::string p95_note = sessions;
-  if (!perfbench::percentileSupported(n, 0.95))
-    p95_note += ", " + std::to_string(perfbench::samplesBeyond(n, 0.95)) +
-                " beyond p95: below the 10-sample tail rule";
+  const LoopFigures cpu = loopFigures(r.cpu_done_at, r.session_cpu_s);
   return {
-      {"sessions_per_s", perfbench::ratio(static_cast<double>(r.completed),
-                                          r.wall_s),
-       "1/s", sessions + " / " + std::to_string(r.wall_s) + " s wall"},
-      {"session_s_p50", n ? perfbench::quantile(r.session_s, 0.5) : 0.0, "s",
-       sessions},
-      {"session_s_p95", n ? perfbench::quantile(r.session_s, 0.95) : 0.0, "s",
-       p95_note},
+      {"sessions_per_cpu_s", cpu.sessions_per_s, "1/cpu_s",
+       cpu.note + ", " + std::to_string(r.cpu_s) + " cpu s"},
+      {"session_cpu_s_p50", cpu.session_s_p50, "cpu_s", cpu.note},
+      {"session_cpu_s_p95", cpu.session_s_p95, "cpu_s", cpu.p95_note},
       {"setup_s", setup_s, "s",
-       "median of " + std::to_string(kSetupReps) + " set-ups"},
+       "CPU clock, median of " + std::to_string(2 * kSetupRepsPerSide) +
+           " set-ups, half before and half after the loop"},
       {"peak_rss_mb", peak_rss_mb, "MB", "process high-water mark (VmHWM)"},
+  };
+}
+
+/// The same figures on the wall clock: what a client of the service waits.
+std::vector<Metric> wallMetrics(const PassResult& r) {
+  const LoopFigures wall = loopFigures(r.done_at, r.session_s);
+  return {
+      {"wall.sessions_per_s", wall.sessions_per_s, "1/s",
+       wall.note + ", " + std::to_string(r.wall_s) + " s wall"},
+      {"wall.session_s_p50", wall.session_s_p50, "s", wall.note},
+      {"wall.session_s_p95", wall.session_s_p95, "s", wall.p95_note},
   };
 }
 
@@ -579,10 +692,14 @@ std::vector<Metric> endToEndMetrics(const PassResult& r, double setup_s,
 /// optimizing less.
 std::vector<Metric> qualityMetrics(const Workload& w, const PassResult& r) {
   std::vector<double> objective, feasible, to_best;
+  std::vector<double> p_objective, p_feasible, p_cost;
   for (const auto& [index, q] : r.quality) {
     objective.push_back(q.best_objective);
     feasible.push_back(q.feasible ? 1.0 : 0.0);
     to_best.push_back(q.sims_to_best);
+    p_objective.push_back(q.proposal_objective);
+    p_feasible.push_back(q.proposal_feasible ? 1.0 : 0.0);
+    p_cost.push_back(q.proposal_cost);
   }
   const std::string note = "sessions 0.." +
                            std::to_string(w.quality_sessions - 1) + " (n=" +
@@ -593,6 +710,11 @@ std::vector<Metric> qualityMetrics(const Workload& w, const PassResult& r) {
       {"feasible_frac", perfbench::mean(feasible), "ratio",
        note + ", feasible sessions / sessions"},
       {"equiv_sims_to_best_mean", perfbench::mean(to_best), "sims", note},
+      {"proposal_best_objective_mean", perfbench::mean(p_objective),
+       "objective", note + ", best proposal, feasible first"},
+      {"proposal_feasible_frac", perfbench::mean(p_feasible), "ratio",
+       note + ", sessions with a feasible proposal / sessions"},
+      {"proposal_cost_to_best_mean", perfbench::mean(p_cost), "sims", note},
   };
 }
 
@@ -672,6 +794,15 @@ std::vector<Metric> perLayerMetrics(const PassResult& r, const Tracing& t,
        std::to_string(r.pooled_regions) + " pooled / " +
            std::to_string(r.regions) + " regions"},
   };
+}
+
+/// The host's CPU steal during a pass, as a share of the machine's CPU
+/// time: on a shared VM it explains a slow run.
+void printSteal(const PassResult& r, std::size_t threads) {
+  std::printf("# host steal during the loop: %.1f%% of %zu CPUs' time "
+              "(/proc/stat)\n",
+              100.0 * perfbench::cpuUtil(r.steal_s, r.wall_s, threads),
+              threads);
 }
 
 void printMetrics(const char* title, const std::vector<Metric>& metrics) {
@@ -770,16 +901,21 @@ int main(int argc, char** argv) {
               "threads=%zu clients=%zu\n",
               w.name, static_cast<unsigned long long>(*seed), *seconds, *trace,
               threads, w.clients);
-  if (w.persist) {
+  if (w.persists()) {
     resetDirectory(ckpt_dir);
     std::printf("# checkpoint dir %s on %s\n", ckpt_dir.c_str(),
                 filesystemName(ckpt_dir).c_str());
   }
 
-  std::vector<double> setups;
-  for (int rep = 0; rep < kSetupReps; ++rep)
-    setups.push_back(setupOnce(w, *seed, ckpt_dir));
-  const double setup_s = perfbench::quantile(setups, 0.5);
+  std::vector<double> setups, setups_wall;
+  const auto setUp = [&] {
+    for (int rep = 0; rep < kSetupRepsPerSide; ++rep) {
+      const auto [wall_s, cpu_s] = setupOnce(w, ckpt_dir);
+      setups_wall.push_back(wall_s);
+      setups.push_back(cpu_s);
+    }
+  };
+  setUp();
 
   bool correct = true;
   const auto fail = [&](const std::string& what) {
@@ -803,10 +939,12 @@ int main(int argc, char** argv) {
   std::string line;
   if (*trace == 0) {
     const PassResult r = runPass(pass);
+    setUp();
+    const double setup_s = perfbench::quantile(setups, 0.5);
     reportErrors(r);
     // Recovery and persistence must not change what a session computes:
     // re-run a sample uninterrupted and compare result bytes.
-    if (w.persist) {
+    if (w.persists()) {
       for (const auto& [index, bytes] : r.results)
         if (soloResult(w, *seed, index) != bytes)
           fail(sessionId(index) + " differs from its uninterrupted re-run");
@@ -820,7 +958,12 @@ int main(int argc, char** argv) {
                 r.admitted, r.completed, r.failed,
                 perfbench::ratio(static_cast<double>(r.failed),
                                  static_cast<double>(r.admitted)));
+    printSteal(r, threads);
     printMetrics("end-to-end", metrics);
+    std::vector<Metric> wall = wallMetrics(r);
+    wall.push_back({"wall.setup_s", perfbench::quantile(setups_wall, 0.5), "s",
+                    "wall clock, same set-ups"});
+    printMetrics("wall clock (not bounded)", wall);
     printMetrics("quality guards", qualityMetrics(w, r));
     line = resultLine(correct, r.admitted, r.failed, metrics);
   } else {
@@ -836,6 +979,8 @@ int main(int argc, char** argv) {
     plain.tracing = nullptr;
     plain.admit_count = traced.admitted;
     const PassResult untraced = runPass(plain);
+    setUp();
+    const double setup_s = perfbench::quantile(setups, 0.5);
     reportErrors(untraced);
     std::size_t compared = 0;
     for (const auto& [index, bytes] : traced.results) {
@@ -849,15 +994,19 @@ int main(int argc, char** argv) {
         fail(sessionId(index) + " traced result differs from untraced");
     }
     std::printf("# identity: %zu traced sessions byte-compared\n", compared);
+    printSteal(traced, threads);
     std::vector<Metric> layers = perLayerMetrics(traced, tracing, threads);
     for (Metric& m : qualityMetrics(w, traced)) layers.push_back(std::move(m));
+    // Wall-clock figures of the untraced pass, beside the layers they sum.
+    for (Metric& m : wallMetrics(untraced)) layers.push_back(std::move(m));
     printMetrics("per-layer (traced run)", layers);
     // Peak RSS is a process-wide high-water mark: the untraced figure
     // includes the traced pass that ran before it.
-    const std::vector<Metric> on =
-        endToEndMetrics(traced, setup_s, traced_rss);
-    const std::vector<Metric> off =
+    std::vector<Metric> on = endToEndMetrics(traced, setup_s, traced_rss);
+    std::vector<Metric> off =
         endToEndMetrics(untraced, setup_s, peakRssMb());
+    for (Metric& m : wallMetrics(traced)) on.push_back(std::move(m));
+    for (Metric& m : wallMetrics(untraced)) off.push_back(std::move(m));
     std::printf("# tracing overhead (traced, untraced, traced/untraced; "
                 "same %zu sessions)\n",
                 traced.admitted);
