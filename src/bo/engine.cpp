@@ -138,22 +138,16 @@ std::uint64_t parseSeed(const Json& v) {
   return static_cast<std::uint64_t>(parsed);
 }
 
-void matchNumber(const Json& obj, const char* key, double expected) {
-  const double got = finiteNumber(obj, key);
-  MFBO_CHECK(got == expected, "checkpoint option '", key, "' is ", got,
-             " but the engine was configured with ", expected);
-}
-
-void matchSize(const Json& obj, const char* key, std::size_t expected) {
-  const std::size_t got = sizeField(obj, key);
-  MFBO_CHECK(got == expected, "checkpoint option '", key, "' is ", got,
-             " but the engine was configured with ", expected);
-}
-
-void matchBool(const Json& obj, const char* key, bool expected) {
-  const bool got = boolField(obj, key);
-  MFBO_CHECK(got == expected, "checkpoint option '", key, "' is ", got,
-             " but the engine was configured with ", expected);
+/// MSP settings shared by both engines' options digests.
+Json mspDigest(const MspOptions& msp) {
+  Json m = Json::object();
+  m.set("n_starts", msp.n_starts);
+  m.set("frac_tau_l", msp.frac_tau_l);
+  m.set("frac_tau_h", msp.frac_tau_h);
+  m.set("relative_sd", msp.relative_sd);
+  m.set("local_max_evaluations", msp.local.max_evaluations);
+  m.set("local_initial_step", msp.local.initial_step);
+  return m;
 }
 
 Json slotToJson(const ProposedSlot& s) {
@@ -465,7 +459,7 @@ void Engine::handleObserve() {
     rec.iteration = slot.iteration;
     rec.fidelity = slot.fidelity;
     rec.downgraded = slot.downgraded;
-    rec.retrained = retrainPlanned();
+    rec.retrained = retrainDue(iteration_ - pending_.size(), pending_.size());
     rec.first_feasible_phase = slot.first_feasible_phase;
     rec.tau_l = slot.tau_l;
     rec.tau_h = slot.tau_h;
@@ -490,7 +484,18 @@ void Engine::handleObserve() {
   transition(EngineState::kFitSurrogate);
 }
 
-void Engine::finishFit() {
+void Engine::handleFitSurrogate() {
+  // Algorithm 1's training schedule: the first fit and every batch that
+  // hits the retrain_every cadence retrain hyperparameters; any other
+  // batch is appended row by row. restorePolicy replays exactly this.
+  if (!models_fitted_ ||
+      retrainDue(iteration_ - pending_.size(), pending_.size())) {
+    fitModels();
+    models_fitted_ = true;
+  } else {
+    for (const ProposedSlot& slot : pending_)
+      addRow(slot.fidelity, slot.dataset_index);
+  }
   if (!pending_.empty()) {
     batches_.push_back(pending_.size());
     pending_.clear();
@@ -509,11 +514,13 @@ void Engine::finish() {
   transition(EngineState::kDone);
 }
 
-bool Engine::retrainPlanned() const {
+bool Engine::retrainDue(std::size_t done, std::size_t size) const {
+  MFBO_DCHECK(done + size <= iteration_, "batch ends at iteration ",
+              done + size, ", past the iteration counter ", iteration_);
   const std::size_t every = retrainEvery();
   if (every <= 1) return true;
-  for (const ProposedSlot& slot : pending_)
-    if (slot.iteration % every == 0) return true;
+  for (std::size_t it = done + 1; it <= done + size; ++it)
+    if (it % every == 0) return true;
   return false;
 }
 
@@ -568,7 +575,15 @@ Json Engine::checkpoint() const {
   Json pend = Json::array();
   for (const ProposedSlot& s : pending_) pend.push(slotToJson(s));
   c.set("pending", std::move(pend));
-  c.set("policy", policyJson());
+  Json policy = optionsDigest();
+  Json stamp = Json::null();
+  if (models_fitted_) {
+    stamp = Json::array();
+    for (const std::vector<double>& h : hyperparameters())
+      stamp.push(Json::numberArray(h));
+  }
+  policy.set("surrogates", std::move(stamp));
+  c.set("policy", std::move(policy));
   return c;
 }
 
@@ -609,6 +624,8 @@ void Engine::restoreHistory(const Json& ckpt) {
 void Engine::restorePending(const Json& ckpt, EngineState target) {
   const Json& pend = ckpt.at("pending");
   MFBO_CHECK(pend.isArray(), "checkpoint pending must be an array");
+  MFBO_CHECK(pend.size() <= maxBatch(), "pending batch has ", pend.size(),
+             " slots; this engine proposes at most ", maxBatch());
   std::size_t base_iterations = 0;
   for (std::size_t b : batches_) base_iterations += b;
   std::size_t evaluated = 0;
@@ -668,6 +685,69 @@ void Engine::restorePending(const Json& ckpt, EngineState target) {
   }
 }
 
+void Engine::restorePolicy(const Json& policy, EngineState target) {
+  // The options identity is whatever optionsDigest() writes: comparing the
+  // re-dumped section byte-for-byte rejects drift in any field, a missing
+  // or extra key, and a changed type, with no per-field validator to keep
+  // in step with the writer.
+  MFBO_CHECK(policy.isObject() && policy.contains("surrogates"),
+             "checkpoint policy must be an object with a 'surrogates' stamp");
+  Json digest = Json::object();
+  for (const auto& [key, value] : policy.members())
+    if (key != "surrogates") digest.set(key, value);
+  const std::string expected = optionsDigest().dump();
+  MFBO_CHECK(digest.dump() == expected, "checkpoint options ", digest.dump(),
+             " do not match the engine's ", expected);
+  const Json& stamp = policy.at("surrogates");
+
+  if (target != EngineState::kInit) {
+    // The Init state is atomic: any checkpoint past it archives the
+    // complete initial design (restore() has pinned the history length),
+    // in the order handleInit evaluates it.
+    for (std::size_t i = 0; i < initTotal(); ++i)
+      MFBO_CHECK(history_[i].fidelity == initFidelity(i), "history entry ", i,
+                 " breaks the initial-design fidelity pattern");
+    buildModels();
+  }
+  if (!models_fitted_) {
+    MFBO_CHECK(stamp.isNull(),
+               "hyperparameter stamp present before the first fit");
+    return;
+  }
+
+  // Replay the training schedule handleFitSurrogate ran: regrow the
+  // archives in history order and absorb each completed batch through the
+  // same hooks, so the models' trainers and MC generators advance exactly
+  // as they did originally — checked against the stamp below.
+  Dataset low = std::exchange(low_, Dataset{});
+  Dataset high = std::exchange(high_, Dataset{});
+  std::size_t entry = 0;
+  const auto regrow = [&] {
+    const Fidelity f = history_[entry++].fidelity;
+    Dataset& from = f == Fidelity::kHigh ? high : low;
+    Dataset& to = f == Fidelity::kHigh ? high_ : low_;
+    const std::size_t row = to.size();
+    to.add(std::move(from.x[row]), std::move(from.evals[row]));
+    return std::make_pair(f, row);
+  };
+  while (entry < initTotal()) regrow();
+  fitModels();
+  std::size_t done = 0;
+  for (const std::size_t size : batches_) {
+    const bool retrain = retrainDue(done, size);
+    for (std::size_t s = 0; s < size; ++s) {
+      const auto [f, row] = regrow();
+      if (!retrain) addRow(f, row);
+    }
+    if (retrain) fitModels();
+    done += size;
+  }
+  // An evaluated batch not yet absorbed (state fit_surrogate / observe) is
+  // archived; the resumed FitSurrogate handler absorbs it.
+  while (entry < history_.size()) regrow();
+  checkStampAgainst(stamp, hyperparameters());
+}
+
 void Engine::restore(const Json& ckpt) {
   MFBO_CHECK(state_ == EngineState::kInit && history_.empty() &&
                  pending_.empty() && batches_.empty() && iteration_ == 0 &&
@@ -714,7 +794,8 @@ void Engine::restore(const Json& ckpt) {
   std::size_t batched_iterations = 0;
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const std::size_t size = sizeValue(batches.at(b), "batch size");
-    MFBO_CHECK(size >= 1, "empty batch in the checkpoint batch table");
+    MFBO_CHECK(size >= 1 && size <= maxBatch(), "checkpoint batch ", b,
+               " holds ", size, " slots, outside 1..", maxBatch());
     batches_.push_back(size);
     batched_iterations += size;
   }
@@ -815,9 +896,30 @@ void MfboEngine::buildModels() {
     models_.push_back(factory(d_, seed_ * 1000003u + i));
 }
 
-void MfboEngine::fitAll() {
+void MfboEngine::fitModels() {
   for (std::size_t i = 0; i < n_out_; ++i)
     models_[i]->fit(low_.x, columnOf(low_, i), high_.x, columnOf(high_, i));
+}
+
+void MfboEngine::addRow(Fidelity f, std::size_t row) {
+  const bool hi = f == Fidelity::kHigh;
+  const Dataset& ds = hi ? high_ : low_;
+  MFBO_DCHECK(row < ds.size(), "archive row ", row, " out of range");
+  const Evaluation& eval = ds.evals[row];
+  for (std::size_t i = 0; i < n_out_; ++i) {
+    const double y = i == 0 ? eval.objective : eval.constraints[i - 1];
+    if (hi)
+      models_[i]->addHigh(ds.x[row], y, false);
+    else
+      models_[i]->addLow(ds.x[row], y, false);
+  }
+}
+
+std::vector<std::vector<double>> MfboEngine::hyperparameters() const {
+  std::vector<std::vector<double>> hypers;
+  hypers.reserve(models_.size());
+  for (const auto& model : models_) hypers.push_back(model->hyperparameters());
+  return hypers;
 }
 
 std::vector<gp::Prediction> MfboEngine::lowPredictions(const Models& models,
@@ -875,28 +977,6 @@ void MfboEngine::handleInit() {
     evaluateRaw(u, Fidelity::kHigh);
   buildModels();
   transition(EngineState::kFitSurrogate);
-}
-
-void MfboEngine::handleFitSurrogate() {
-  if (!models_fitted_) {
-    fitAll();
-    models_fitted_ = true;
-  } else if (retrainPlanned()) {
-    fitAll();
-  } else {
-    for (const ProposedSlot& slot : pending_) {
-      const Dataset& ds = slot.fidelity == Fidelity::kHigh ? high_ : low_;
-      const Evaluation& eval = ds.evals[slot.dataset_index];
-      for (std::size_t i = 0; i < n_out_; ++i) {
-        const double y = i == 0 ? eval.objective : eval.constraints[i - 1];
-        if (slot.fidelity == Fidelity::kHigh)
-          models_[i]->addHigh(ds.x[slot.dataset_index], y, false);
-        else
-          models_[i]->addLow(ds.x[slot.dataset_index], y, false);
-      }
-    }
-  }
-  finishFit();
 }
 
 void MfboEngine::handlePropose() {
@@ -1093,8 +1173,7 @@ double MfboEngine::observedAcquisition(const ProposedSlot& slot) {
              : weightedEi(p[0], slot.tau_h, {p.begin() + 1, p.end()});
 }
 
-Json MfboEngine::policyJson() const {
-  Json policy = Json::object();
+Json MfboEngine::optionsDigest() const {
   Json o = Json::object();
   o.set("n_init_low", options_.n_init_low);
   o.set("n_init_high", options_.n_init_high);
@@ -1104,162 +1183,19 @@ Json MfboEngine::policyJson() const {
   o.set("x_star_seeds", options_.x_star_seeds);
   o.set("use_first_feasible", options_.use_first_feasible);
   o.set("batch_size", options_.batch_size);
-  Json m = Json::object();
-  m.set("n_starts", options_.msp.n_starts);
-  m.set("frac_tau_l", options_.msp.frac_tau_l);
-  m.set("frac_tau_h", options_.msp.frac_tau_h);
-  m.set("relative_sd", options_.msp.relative_sd);
-  m.set("local_max_evaluations", options_.msp.local.max_evaluations);
-  m.set("local_initial_step", options_.msp.local.initial_step);
-  o.set("msp", std::move(m));
+  o.set("msp", mspDigest(options_.msp));
   Json n = Json::object();
   n.set("n_mc", options_.nargp.n_mc);
   n.set("n_mc_var", options_.nargp.n_mc_var);
   n.set("n_restarts_low", options_.nargp.low.n_restarts);
   n.set("n_restarts_high", options_.nargp.high.n_restarts);
   o.set("nargp", std::move(n));
-  policy.set("options", std::move(o));
-  policy.set("custom_surrogate",
-             static_cast<bool>(options_.surrogate_factory));
-  Json stamp = Json::null();
-  if (models_fitted_) {
-    stamp = Json::array();
-    for (const auto& model : models_)
-      stamp.push(Json::numberArray(model->hyperparameters()));
-  }
-  policy.set("surrogates", std::move(stamp));
-  return policy;
-}
-
-void MfboEngine::restorePolicy(const Json& policy, EngineState target) {
-  checkKeys(policy, {"options", "custom_surrogate", "surrogates"},
-            "checkpoint policy");
-  const Json& o = policy.at("options");
-  checkKeys(o,
-            {"n_init_low", "n_init_high", "budget", "gamma", "retrain_every",
-             "x_star_seeds", "use_first_feasible", "batch_size", "msp",
-             "nargp"},
-            "policy options");
-  matchSize(o, "n_init_low", options_.n_init_low);
-  matchSize(o, "n_init_high", options_.n_init_high);
-  matchNumber(o, "budget", options_.budget);
-  matchNumber(o, "gamma", options_.gamma);
-  matchSize(o, "retrain_every", options_.retrain_every);
-  matchSize(o, "x_star_seeds", options_.x_star_seeds);
-  matchBool(o, "use_first_feasible", options_.use_first_feasible);
-  matchSize(o, "batch_size", options_.batch_size);
-  const Json& m = o.at("msp");
-  checkKeys(m,
-            {"n_starts", "frac_tau_l", "frac_tau_h", "relative_sd",
-             "local_max_evaluations", "local_initial_step"},
-            "policy msp options");
-  matchSize(m, "n_starts", options_.msp.n_starts);
-  matchNumber(m, "frac_tau_l", options_.msp.frac_tau_l);
-  matchNumber(m, "frac_tau_h", options_.msp.frac_tau_h);
-  matchNumber(m, "relative_sd", options_.msp.relative_sd);
-  matchSize(m, "local_max_evaluations", options_.msp.local.max_evaluations);
-  matchNumber(m, "local_initial_step", options_.msp.local.initial_step);
-  const Json& n = o.at("nargp");
-  checkKeys(n, {"n_mc", "n_mc_var", "n_restarts_low", "n_restarts_high"},
-            "policy nargp options");
-  matchSize(n, "n_mc", options_.nargp.n_mc);
-  matchSize(n, "n_mc_var", options_.nargp.n_mc_var);
-  matchSize(n, "n_restarts_low", options_.nargp.low.n_restarts);
-  matchSize(n, "n_restarts_high", options_.nargp.high.n_restarts);
+  Json digest = Json::object();
+  digest.set("options", std::move(o));
   // A custom factory is opaque, so the best available identity check is
-  // both-or-neither; the hyperparameter stamp below catches actual drift.
-  matchBool(policy, "custom_surrogate",
-            static_cast<bool>(options_.surrogate_factory));
-
-  if (target == EngineState::kInit) {
-    MFBO_CHECK(policy.at("surrogates").isNull(),
-               "hyperparameter stamp present before the first fit");
-    return;
-  }
-
-  // The Init state is atomic: any checkpoint past it archives the complete
-  // initial design, low prefix first.
-  MFBO_CHECK(history_.size() >= initTotal(), "history holds ",
-             history_.size(), " entries; the ", initTotal(),
-             "-point initial design is incomplete");
-  for (std::size_t i = 0; i < initTotal(); ++i) {
-    const Fidelity expect =
-        i < options_.n_init_low ? Fidelity::kLow : Fidelity::kHigh;
-    MFBO_CHECK(history_[i].fidelity == expect, "history entry ", i,
-               " breaks the initial-design fidelity pattern");
-  }
-
-  buildModels();
-  if (!models_fitted_) {
-    MFBO_CHECK(policy.at("surrogates").isNull(),
-               "hyperparameter stamp present before the first fit");
-    return;
-  }
-
-  // Replay the exact fit/addPoint schedule the original run performed (the
-  // retrain cadence is a pure function of the iteration numbers), so the
-  // models' internal trainer and MC generators advance identically and the
-  // restored state is byte-equal — checked against the stamp below.
-  const auto column_prefix = [](const Dataset& ds, std::size_t out,
-                                std::size_t count) {
-    std::vector<double> col = columnOf(ds, out);
-    col.resize(count);
-    return col;
-  };
-  const auto fit_prefix = [&](std::size_t n_low_rows,
-                              std::size_t n_high_rows) {
-    const std::vector<Vector> xl(low_.x.begin(),
-                                 low_.x.begin() +
-                                     static_cast<std::ptrdiff_t>(n_low_rows));
-    const std::vector<Vector> xh(
-        high_.x.begin(),
-        high_.x.begin() + static_cast<std::ptrdiff_t>(n_high_rows));
-    for (std::size_t i = 0; i < n_out_; ++i)
-      models_[i]->fit(xl, column_prefix(low_, i, n_low_rows), xh,
-                      column_prefix(high_, i, n_high_rows));
-  };
-
-  std::size_t low_cursor = options_.n_init_low;
-  std::size_t high_cursor = options_.n_init_high;
-  std::size_t entry = initTotal();
-  std::size_t iter = 0;
-  fit_prefix(low_cursor, high_cursor);
-  for (const std::size_t size : batches_) {
-    MFBO_CHECK(entry + size <= history_.size(),
-               "batch table exceeds the archived history");
-    bool retrain = retrainEvery() <= 1;
-    for (std::size_t s = 0; s < size && !retrain; ++s)
-      retrain = (iter + s + 1) % retrainEvery() == 0;
-    std::vector<std::pair<Fidelity, std::size_t>> rows;
-    rows.reserve(size);
-    for (std::size_t s = 0; s < size; ++s) {
-      const Fidelity f = history_[entry + s].fidelity;
-      rows.emplace_back(f, f == Fidelity::kHigh ? high_cursor++
-                                                : low_cursor++);
-    }
-    if (retrain) {
-      fit_prefix(low_cursor, high_cursor);
-    } else {
-      for (const auto& [f, row] : rows) {
-        const Dataset& ds = f == Fidelity::kHigh ? high_ : low_;
-        const Evaluation& eval = ds.evals[row];
-        for (std::size_t i = 0; i < n_out_; ++i) {
-          const double y = i == 0 ? eval.objective : eval.constraints[i - 1];
-          if (f == Fidelity::kHigh)
-            models_[i]->addHigh(ds.x[row], y, false);
-          else
-            models_[i]->addLow(ds.x[row], y, false);
-        }
-      }
-    }
-    iter += size;
-    entry += size;
-  }
-
-  std::vector<std::vector<double>> hypers;
-  hypers.reserve(models_.size());
-  for (const auto& model : models_) hypers.push_back(model->hyperparameters());
-  checkStampAgainst(policy.at("surrogates"), hypers);
+  // both-or-neither; the hyperparameter stamp catches actual drift.
+  digest.set("custom_surrogate", static_cast<bool>(options_.surrogate_factory));
+  return digest;
 }
 
 WeiboEngine::WeiboEngine(Problem& problem, std::uint64_t seed,
@@ -1276,6 +1212,9 @@ SynthesisResult WeiboEngine::run() {
 }
 
 void WeiboEngine::buildModels() {
+  // On restore the archives are complete at this point (see engine.h).
+  MFBO_CHECK(low_.size() == 0,
+             "weibo checkpoint contains low-fidelity history");
   models_.clear();
   models_.reserve(n_out_);
   for (std::size_t i = 0; i < n_out_; ++i) {
@@ -1285,11 +1224,28 @@ void WeiboEngine::buildModels() {
   }
 }
 
-void WeiboEngine::fitAll() {
+void WeiboEngine::fitModels() {
   const spans::ScopedSpan span("fit_high");
   models_[0].fit(high_.x, high_.objectives());
   for (std::size_t i = 0; i < nc_; ++i)
     models_[1 + i].fit(high_.x, high_.constraintColumn(i));
+}
+
+void WeiboEngine::addRow(Fidelity f, std::size_t row) {
+  MFBO_DCHECK(f == Fidelity::kHigh && row < high_.size(),
+              "weibo absorbs only archived high-fidelity rows");
+  const spans::ScopedSpan span("fit_high");
+  const Evaluation& eval = high_.evals[row];
+  models_[0].addPoint(high_.x[row], eval.objective, false);
+  for (std::size_t i = 0; i < nc_; ++i)
+    models_[1 + i].addPoint(high_.x[row], eval.constraints[i], false);
+}
+
+std::vector<std::vector<double>> WeiboEngine::hyperparameters() const {
+  std::vector<std::vector<double>> hypers;
+  hypers.reserve(models_.size());
+  for (const auto& model : models_) hypers.push_back(model.hyperparameters());
+  return hypers;
 }
 
 std::vector<gp::Prediction> WeiboEngine::constraintPredictions(
@@ -1305,25 +1261,6 @@ void WeiboEngine::handleInit() {
     evaluateRaw(u, Fidelity::kHigh);
   buildModels();
   transition(EngineState::kFitSurrogate);
-}
-
-void WeiboEngine::handleFitSurrogate() {
-  if (!models_fitted_) {
-    fitAll();
-    models_fitted_ = true;
-  } else if (retrainPlanned()) {
-    fitAll();
-  } else {
-    const spans::ScopedSpan span("fit_high");
-    for (const ProposedSlot& slot : pending_) {
-      const Evaluation& eval = high_.evals[slot.dataset_index];
-      models_[0].addPoint(high_.x[slot.dataset_index], eval.objective, false);
-      for (std::size_t i = 0; i < nc_; ++i)
-        models_[1 + i].addPoint(high_.x[slot.dataset_index],
-                                eval.constraints[i], false);
-    }
-  }
-  finishFit();
 }
 
 void WeiboEngine::handlePropose() {
@@ -1382,124 +1319,19 @@ double WeiboEngine::observedAcquisition(const ProposedSlot& slot) {
              : weightedEi(models_[0].predict(slot.x), slot.tau_h, cons);
 }
 
-Json WeiboEngine::policyJson() const {
-  Json policy = Json::object();
+Json WeiboEngine::optionsDigest() const {
   Json o = Json::object();
   o.set("n_init", options_.n_init);
   o.set("max_sims", options_.max_sims);
   o.set("retrain_every", options_.retrain_every);
   o.set("use_first_feasible", options_.use_first_feasible);
-  Json m = Json::object();
-  m.set("n_starts", options_.msp.n_starts);
-  m.set("frac_tau_l", options_.msp.frac_tau_l);
-  m.set("frac_tau_h", options_.msp.frac_tau_h);
-  m.set("relative_sd", options_.msp.relative_sd);
-  m.set("local_max_evaluations", options_.msp.local.max_evaluations);
-  m.set("local_initial_step", options_.msp.local.initial_step);
-  o.set("msp", std::move(m));
+  o.set("msp", mspDigest(options_.msp));
   Json g = Json::object();
   g.set("n_restarts", options_.gp.n_restarts);
   o.set("gp", std::move(g));
-  policy.set("options", std::move(o));
-  Json stamp = Json::null();
-  if (models_fitted_) {
-    stamp = Json::array();
-    for (const auto& model : models_)
-      stamp.push(Json::numberArray(model.hyperparameters()));
-  }
-  policy.set("surrogates", std::move(stamp));
-  return policy;
-}
-
-void WeiboEngine::restorePolicy(const Json& policy, EngineState target) {
-  checkKeys(policy, {"options", "surrogates"}, "checkpoint policy");
-  const Json& o = policy.at("options");
-  checkKeys(o,
-            {"n_init", "max_sims", "retrain_every", "use_first_feasible",
-             "msp", "gp"},
-            "policy options");
-  matchSize(o, "n_init", options_.n_init);
-  matchNumber(o, "max_sims", options_.max_sims);
-  matchSize(o, "retrain_every", options_.retrain_every);
-  matchBool(o, "use_first_feasible", options_.use_first_feasible);
-  const Json& m = o.at("msp");
-  checkKeys(m,
-            {"n_starts", "frac_tau_l", "frac_tau_h", "relative_sd",
-             "local_max_evaluations", "local_initial_step"},
-            "policy msp options");
-  matchSize(m, "n_starts", options_.msp.n_starts);
-  matchNumber(m, "frac_tau_l", options_.msp.frac_tau_l);
-  matchNumber(m, "frac_tau_h", options_.msp.frac_tau_h);
-  matchNumber(m, "relative_sd", options_.msp.relative_sd);
-  matchSize(m, "local_max_evaluations", options_.msp.local.max_evaluations);
-  matchNumber(m, "local_initial_step", options_.msp.local.initial_step);
-  const Json& g = o.at("gp");
-  checkKeys(g, {"n_restarts"}, "policy gp options");
-  matchSize(g, "n_restarts", options_.gp.n_restarts);
-
-  MFBO_CHECK(tracker_.numLow() == 0 && low_.size() == 0,
-             "weibo checkpoint contains low-fidelity history");
-  MFBO_CHECK(pending_.size() <= 1, "weibo proposes one point per batch, got ",
-             pending_.size(), " pending");
-
-  if (target == EngineState::kInit) {
-    MFBO_CHECK(policy.at("surrogates").isNull(),
-               "hyperparameter stamp present before the first fit");
-    return;
-  }
-  MFBO_CHECK(history_.size() >= initTotal(), "history holds ",
-             history_.size(), " entries; the ", initTotal(),
-             "-point initial design is incomplete");
-
-  buildModels();
-  if (!models_fitted_) {
-    MFBO_CHECK(policy.at("surrogates").isNull(),
-               "hyperparameter stamp present before the first fit");
-    return;
-  }
-
-  // Replay the exact fit/addPoint schedule (see MfboEngine::restorePolicy).
-  const auto column_prefix = [](std::vector<double> col, std::size_t count) {
-    col.resize(count);
-    return col;
-  };
-  const auto fit_prefix = [&](std::size_t n_rows) {
-    const spans::ScopedSpan span("fit_high");
-    const std::vector<Vector> xs(
-        high_.x.begin(),
-        high_.x.begin() + static_cast<std::ptrdiff_t>(n_rows));
-    models_[0].fit(xs, column_prefix(high_.objectives(), n_rows));
-    for (std::size_t i = 0; i < nc_; ++i)
-      models_[1 + i].fit(xs, column_prefix(high_.constraintColumn(i), n_rows));
-  };
-
-  std::size_t cursor = initTotal();
-  std::size_t iter = 0;
-  fit_prefix(cursor);
-  for (const std::size_t size : batches_) {
-    MFBO_CHECK(size == 1, "weibo batches are always size 1, got ", size);
-    MFBO_CHECK(cursor < high_.size(),
-               "batch table exceeds the archived history");
-    const bool retrain =
-        retrainEvery() <= 1 || (iter + 1) % retrainEvery() == 0;
-    if (retrain) {
-      ++cursor;
-      fit_prefix(cursor);
-    } else {
-      const spans::ScopedSpan span("fit_high");
-      const Evaluation& eval = high_.evals[cursor];
-      models_[0].addPoint(high_.x[cursor], eval.objective, false);
-      for (std::size_t i = 0; i < nc_; ++i)
-        models_[1 + i].addPoint(high_.x[cursor], eval.constraints[i], false);
-      ++cursor;
-    }
-    ++iter;
-  }
-
-  std::vector<std::vector<double>> hypers;
-  hypers.reserve(models_.size());
-  for (const auto& model : models_) hypers.push_back(model.hyperparameters());
-  checkStampAgainst(policy.at("surrogates"), hypers);
+  Json digest = Json::object();
+  digest.set("options", std::move(o));
+  return digest;
 }
 
 }  // namespace mfbo::bo

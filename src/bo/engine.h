@@ -22,8 +22,12 @@
 // against the archived observations, never by deserializing factors: the
 // incremental Cholesky append is equivalent to a rebuild only to ~1e-8, so
 // serialized factors could not reproduce the uninterrupted run's bytes.
-// The checkpointed hyperparameters instead serve as an integrity stamp the
-// replayed models must match exactly.
+// The replay regrows the archives in history order and absorbs every
+// completed batch through the same fitModels()/addRow() hooks and the same
+// retrainDue() decision the live FitSurrogate handler uses, so the two
+// cannot drift apart. The checkpointed hyperparameters serve as an
+// integrity stamp the replayed models must match exactly, and the policy
+// section must equal the engine's own optionsDigest() byte-for-byte.
 //
 // Batch proposals (MfboOptions::batch_size = q > 1) use the constant-liar
 // fantasy: the fused surrogates are cloned once per batch, each proposed
@@ -97,8 +101,9 @@ struct ProposedSlot {
 Json synthesisResultToJson(const SynthesisResult& result);
 
 /// Base synthesis state machine. Owns the archives, cost meter, RNG and
-/// pending batch; subclasses provide the algorithm-specific Init /
-/// FitSurrogate / Propose handlers and the checkpoint policy section.
+/// pending batch, the surrogate-training schedule (live and replayed) and
+/// the checkpoint policy section; subclasses provide the algorithm-specific
+/// Init / Propose handlers and the surrogate and options hooks below.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -161,23 +166,36 @@ class Engine {
   virtual double minStepCost() const = 0;
   virtual std::size_t retrainEvery() const = 0;
   virtual std::size_t initTotal() const = 0;
+  /// Fidelity of initial-design row @p i (0 <= i < initTotal()).
+  virtual Fidelity initFidelity(std::size_t i) const = 0;
+  /// Largest batch one Propose step may emit.
+  virtual std::size_t maxBatch() const = 0;
   virtual const IterationObserver& observerRef() const = 0;
   virtual void handleInit() = 0;
-  virtual void handleFitSurrogate() = 0;
   virtual void handlePropose() = 0;
   /// Acquisition (or eq. 13 criterion) value reported for @p slot's
   /// iteration record, on the models that proposed it.
   virtual double observedAcquisition(const ProposedSlot& slot) = 0;
-  /// Subclass section of the checkpoint: options digest + surrogate
-  /// hyperparameter stamp (null until the first fit).
-  virtual Json policyJson() const = 0;
-  /// Validate the policy section against this engine's options, rebuild
-  /// the surrogates, and replay their training schedule (only up to what
-  /// @p target implies has already happened — a checkpoint at
-  /// FitSurrogate with a pending batch has *not* absorbed that batch yet).
-  virtual void restorePolicy(const Json& policy, EngineState target) = 0;
+
+  // Surrogate hooks: the only calls the training schedule makes, live and
+  // in the restore replay alike.
+  /// Construct fresh, unfitted surrogates. Called once the initial design
+  /// is archived; during restore the archives are still complete, so this
+  /// is also where a subclass rejects rows it can never have produced.
+  virtual void buildModels() = 0;
+  /// Train every surrogate (hyperparameters included) on the archives.
+  virtual void fitModels() = 0;
+  /// Append archive row @p row of fidelity @p f to every surrogate without
+  /// retraining hyperparameters.
+  virtual void addRow(Fidelity f, std::size_t row) = 0;
+  /// Per-surrogate hyperparameter vectors: the checkpoint's integrity stamp.
+  virtual std::vector<std::vector<double>> hyperparameters() const = 0;
+  /// Options identity written as the checkpoint policy section (next to
+  /// the stamp); restore requires it byte-for-byte.
+  virtual Json optionsDigest() const = 0;
 
   // Shared handlers.
+  void handleFitSurrogate();
   void handleAwaitResults();
   void handleObserve();
 
@@ -194,13 +212,10 @@ class Engine {
   /// used by the init designs.
   std::size_t evaluateRaw(const Vector& u, Fidelity f);
 
-  /// Tail of every FitSurrogate handler: archive the completed batch,
-  /// close the iteration timer, and advance on the remaining budget.
-  void finishFit();
-
-  /// True when the batch containing the given iterations retrains
-  /// hyperparameters (any slot hits the retrain_every schedule).
-  bool retrainPlanned() const;
+  /// True when the batch of @p size iterations following @p done completed
+  /// ones retrains hyperparameters (any of them hits the retrain_every
+  /// schedule) rather than appending its rows.
+  bool retrainDue(std::size_t done, std::size_t size) const;
 
   /// Output column @p out of a dataset (0 = objective).
   static std::vector<double> columnOf(const Dataset& ds, std::size_t out);
@@ -229,6 +244,11 @@ class Engine {
   void finish();
   void restoreHistory(const Json& ckpt);
   void restorePending(const Json& ckpt, EngineState target);
+  /// Validate the policy section against optionsDigest(), rebuild the
+  /// surrogates and replay their training schedule (only up to what
+  /// @p target implies has already happened — a checkpoint at FitSurrogate
+  /// with a pending batch has *not* absorbed that batch yet).
+  void restorePolicy(const Json& policy, EngineState target);
 
   EngineState state_ = EngineState::kInit;
   bool restoring_ = false;
@@ -250,21 +270,25 @@ class MfboEngine final : public Engine {
   std::size_t initTotal() const override {
     return options_.n_init_low + options_.n_init_high;
   }
+  Fidelity initFidelity(std::size_t i) const override {
+    return i < options_.n_init_low ? Fidelity::kLow : Fidelity::kHigh;
+  }
+  std::size_t maxBatch() const override { return options_.batch_size; }
   const IterationObserver& observerRef() const override {
     return options_.observer;
   }
   void handleInit() override;
-  void handleFitSurrogate() override;
   void handlePropose() override;
   double observedAcquisition(const ProposedSlot& slot) override;
-  Json policyJson() const override;
-  void restorePolicy(const Json& policy, EngineState target) override;
+  void buildModels() override;
+  void fitModels() override;
+  void addRow(Fidelity f, std::size_t row) override;
+  std::vector<std::vector<double>> hyperparameters() const override;
+  Json optionsDigest() const override;
 
  private:
   using Models = std::vector<std::unique_ptr<mf::MfSurrogate>>;
 
-  void buildModels();
-  void fitAll();
   /// Models the next slot is proposed on: the constant-liar clones while a
   /// batch is being fantasized, the real models otherwise.
   const Models& activeModels() const {
@@ -303,19 +327,21 @@ class WeiboEngine final : public Engine {
     return std::min<std::size_t>(options_.n_init,
                                  static_cast<std::size_t>(options_.max_sims));
   }
+  Fidelity initFidelity(std::size_t) const override { return Fidelity::kHigh; }
+  std::size_t maxBatch() const override { return 1; }
   const IterationObserver& observerRef() const override {
     return options_.observer;
   }
   void handleInit() override;
-  void handleFitSurrogate() override;
   void handlePropose() override;
   double observedAcquisition(const ProposedSlot& slot) override;
-  Json policyJson() const override;
-  void restorePolicy(const Json& policy, EngineState target) override;
+  void buildModels() override;
+  void fitModels() override;
+  void addRow(Fidelity f, std::size_t row) override;
+  std::vector<std::vector<double>> hyperparameters() const override;
+  Json optionsDigest() const override;
 
  private:
-  void buildModels();
-  void fitAll();
   std::vector<gp::Prediction> constraintPredictions(const Vector& u) const;
 
   WeiboOptions options_;

@@ -141,12 +141,16 @@ void SessionManager::destroy(const std::string& id) {
       eventlog::record(eventlog::EventKind::kSessionDestroy, nullptr,
                        nullptr, static_cast<std::int64_t>((*it)->steps()));
     }
+    // Build the paths before the erase: @p id may be the session's own
+    // id() and dangle once the session is destroyed.
+    const std::string ckpt_path = checkpointPath(id);
+    const std::string result_path = resultPath(id);
     sessions_.erase(it);
     if (persistenceEnabled()) {
       // Destroy means "forget": a later create() of the same id must start
       // fresh, not resurrect this session's state. Missing files are fine.
-      std::remove(checkpointPath(id).c_str());
-      std::remove(resultPath(id).c_str());
+      std::remove(ckpt_path.c_str());
+      std::remove(result_path.c_str());
     }
     return;
   }

@@ -26,6 +26,7 @@
 #include "common/json.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
+#include "mf/nargp.h"
 #include "problems/synthetic.h"
 #include "service/session_manager.h"
 
@@ -241,9 +242,10 @@ TEST(KillResume, CheckpointSerializationRoundTrips) {
 
 /// A checkpoint with real content: taken mid-run, after at least one
 /// iteration has been observed.
-Json midRunCheckpoint(const bo::MfboOptions& options, std::uint64_t seed) {
+template <typename Engine = bo::MfboEngine, typename Options>
+Json midRunCheckpoint(const Options& options, std::uint64_t seed) {
   auto problem = tinyProblem();
-  bo::MfboEngine engine(problem, seed, options);
+  Engine engine(problem, seed, options);
   // Step past init + first fit + one full iteration.
   for (int i = 0; i < 6; ++i) {
     if (engine.done()) break;
@@ -433,6 +435,58 @@ TEST(CheckpointCorruption, MismatchedOptionsAreRejected) {
     o.nargp.n_mc = 32;
     reject_with(std::move(o), "nargp drift");
   }
+  // custom_surrogate is both-or-neither. The factory builds exactly the
+  // default NARGP models, so the replayed stamp would match and only the
+  // options digest can tell the two configurations apart, either way.
+  bo::MfboOptions custom = tinyMfboOptions(1);
+  custom.surrogate_factory = [](std::size_t x_dim, std::uint64_t s) {
+    mf::NargpConfig cfg = tinyMfboOptions(1).nargp;
+    cfg.seed = s;
+    cfg.low.seed = s + 17;
+    cfg.high.seed = s + 31;
+    return std::make_unique<mf::NargpModel>(x_dim, cfg);
+  };
+  reject_with(custom, "custom surrogate, plain checkpoint");
+  const Json custom_ckpt = midRunCheckpoint(custom, 17);
+  {
+    auto problem = tinyProblem();
+    bo::MfboEngine engine(problem, 0, tinyMfboOptions(1));
+    EXPECT_THROW(engine.restore(custom_ckpt), ContractViolation)
+        << "plain surrogate, custom checkpoint";
+  }
+  {
+    auto problem = tinyProblem();
+    bo::MfboEngine engine(problem, 0, custom);
+    EXPECT_NO_THROW(engine.restore(custom_ckpt)) << "custom into custom";
+  }
+
+  // WEIBO runs the same options check against its own digest.
+  const Json weibo_ckpt =
+      midRunCheckpoint<bo::WeiboEngine>(tinyWeiboOptions(), 17);
+  const auto reject_weibo = [&](bo::WeiboOptions options, const char* label) {
+    auto problem = tinyProblem();
+    bo::WeiboEngine engine(problem, 0, std::move(options));
+    EXPECT_THROW(engine.restore(weibo_ckpt), ContractViolation) << label;
+  };
+  {
+    bo::WeiboOptions o = tinyWeiboOptions();
+    o.max_sims = 9.0;
+    reject_weibo(std::move(o), "weibo max_sims drift");
+  }
+  {
+    bo::WeiboOptions o = tinyWeiboOptions();
+    o.gp.n_restarts = 2;
+    reject_weibo(std::move(o), "weibo gp drift");
+  }
+  {
+    bo::WeiboOptions o = tinyWeiboOptions();
+    o.msp.n_starts = 5;
+    reject_weibo(std::move(o), "weibo msp drift");
+  }
+  // Control: the unmodified options accept the same document.
+  auto problem = tinyProblem();
+  bo::WeiboEngine engine(problem, 0, tinyWeiboOptions());
+  EXPECT_NO_THROW(engine.restore(weibo_ckpt));
 }
 
 TEST(CheckpointCorruption, MismatchedProblemIsRejected) {
@@ -460,6 +514,21 @@ TEST(CheckpointCorruption, EmptyBatchEntryIsRejected) {
   batches.push(Json::number(0.0));
   ckpt.set("batches", std::move(batches));
   expectRejected(ckpt, "zero-size batch");
+
+  // A batch larger than batch_size: merge the first two completed q = 1
+  // batches, which keeps the iteration count and history consistent.
+  auto problem = tinyProblem();
+  bo::MfboEngine engine(problem, 17, tinyMfboOptions(1));
+  while (!engine.done() && engine.checkpoint().at("batches").size() < 2)
+    engine.step();
+  Json merged = engine.checkpoint();
+  const Json& table = merged.at("batches");
+  ASSERT_EQ(table.size(), 2u);
+  const double merged_size = table.at(0).asNumber() + table.at(1).asNumber();
+  Json oversized = Json::array();
+  oversized.push(Json::number(merged_size));
+  merged.set("batches", std::move(oversized));
+  expectRejected(merged, "batch larger than batch_size");
 }
 
 TEST(CheckpointCorruption, RestoreRequiresAFreshEngine) {

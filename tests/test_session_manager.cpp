@@ -375,7 +375,9 @@ TEST(SessionManager, DestroyForgetsTheSessionAndItsRecoveryFiles) {
   const std::string ckpt = options.checkpoint_dir + "/d0.ckpt.json";
   ASSERT_TRUE(fileExists(ckpt));
 
-  manager.destroy("d0");
+  // Passing the session's own id() (not a copy) pins that destroy() is done
+  // with the string before it frees the session that owns it.
+  manager.destroy(manager.session("d0").id());
   EXPECT_EQ(manager.size(), 0u);
   EXPECT_EQ(manager.find("d0"), nullptr);
   EXPECT_FALSE(fileExists(ckpt));
