@@ -9,9 +9,9 @@
 //   --threads N  thread count for the parallel execution layer (positive
 //                integer; 1 = fully serial; default MFBO_THREADS env var
 //                or hardware concurrency)
-//   --no-timing  zero wall-clock fields and drop the timers section from
-//                the --out artifact, making same-seed artifacts
-//                byte-identical at any thread count
+//   --no-timing  zero wall-clock fields and drop the latency histograms,
+//                peak RSS and span times from the --out artifact, making
+//                same-seed artifacts byte-identical at any thread count
 //   --out FILE   write a machine-readable JSON artifact with the per-run
 //                results and a telemetry metrics snapshot
 //   --spans      enable the hierarchical span profiler; the --out artifact
@@ -277,8 +277,8 @@ inline Json artifactHeader(const BenchConfig& cfg, const std::string& bench,
 /// path. Exits with an error when the file cannot be written — a bench
 /// asked for an artifact it silently failed to produce would poison
 /// downstream comparisons. No-op when --out was not given. Under
-/// --no-timing the snapshot omits the wall-clock timers section, so the
-/// artifact bytes depend only on the seed, not the thread count.
+/// --no-timing the snapshot omits its wall-clock sections, so the artifact
+/// bytes depend only on the seed, not the thread count.
 inline void writeArtifactFile(const BenchConfig& cfg, Json doc) {
   if (cfg.out.empty()) return;
   doc.set("metrics", telemetry::metricsSnapshot(cfg.timing));

@@ -11,6 +11,7 @@
 #include "common/eventlog.h"
 #include "common/parallel.h"
 #include "common/spans.h"
+#include "common/telemetry.h"
 
 namespace mfbo::bo {
 
@@ -500,7 +501,6 @@ void Engine::handleFitSurrogate() {
     batches_.push_back(pending_.size());
     pending_.clear();
   }
-  iter_timer_.reset();
   if (tracker_.cost() + minStepCost() <= budget() + 1e-9) {
     transition(EngineState::kPropose);
   } else {
@@ -869,7 +869,6 @@ MfboEngine::MfboEngine(Problem& problem, std::uint64_t seed,
   // at construction keeps them in the snapshots of zero-iteration runs too.
   telemetry::counter("bo.mfbo.iterations");
   telemetry::counter("bo.mfbo.budget_downgrades");
-  telemetry::timer("bo.mfbo.iteration_seconds");
 }
 
 SynthesisResult MfboEngine::run() {
@@ -982,8 +981,6 @@ void MfboEngine::handleInit() {
 void MfboEngine::handlePropose() {
   telemetry::Counter& iterations_total =
       telemetry::counter("bo.mfbo.iterations");
-  telemetry::Timer& iteration_timer =
-      telemetry::timer("bo.mfbo.iteration_seconds");
   // Inputs proposed earlier in this batch; slot s dedupes against them so a
   // fantasy cannot re-propose (and singularize) an unevaluated sibling.
   Dataset pending_points;
@@ -992,7 +989,6 @@ void MfboEngine::handlePropose() {
     if (s > 0 && projected + minStepCost() > budget() + 1e-9) break;
     ++iteration_;
     iterations_total.add();
-    if (s == 0) iter_timer_.emplace(iteration_timer);
     if (s == 1) makeFantasies();
     if (s > 0) applyLiar(pending_.back());
     ProposedSlot slot = proposeSlot(s, projected, pending_points);

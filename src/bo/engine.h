@@ -41,7 +41,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -49,7 +48,6 @@
 #include "bo/mfbo.h"
 #include "bo/weibo.h"
 #include "common/json.h"
-#include "common/telemetry.h"
 
 namespace mfbo::bo {
 
@@ -237,7 +235,6 @@ class Engine {
   std::vector<ProposedSlot> pending_;   ///< current batch
   std::vector<std::size_t> batches_;    ///< sizes of completed batches
   bool models_fitted_ = false;
-  std::optional<telemetry::ScopedTimer> iter_timer_;
   SynthesisResult result_;
 
  private:

@@ -64,7 +64,7 @@ enum class EventKind : unsigned char {
                        ///< (a = "checkpoint"|"result", v0 = steps)
   kCheckpointRestore,  ///< Session::restore / adoptResult
                        ///< (a = "checkpoint"|"result", v0 = steps)
-  kPoolDispatch,       ///< parallel region entered (v0 = n, v1 = grain)
+  kPoolDispatch,       ///< parallel region entered (v0 = n)
   kContractViolation,  ///< MFBO_CHECK failed (a = file, v0 = line)
   kCustom,             ///< tests and embedders
 };

@@ -27,7 +27,7 @@
 // peakRssBytes() reads the kernel-maintained process high-water mark
 // (getrusage ru_maxrss). It is machine- and run-dependent by nature, so
 // telemetry::metricsSnapshot() surfaces it only alongside the wall-clock
-// timers, never in the deterministic --no-timing artifact fields.
+// sections, never in the deterministic --no-timing artifact fields.
 #pragma once
 
 #include <cstddef>

@@ -27,10 +27,8 @@ constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 /// ever touches its own job's state: its index claims come up empty instead
 /// of stealing work from a newer region.
 struct Job {
-  const RangeBody* body = nullptr;
-  std::size_t n = 0;
-  std::size_t grain = 1;
-  std::size_t chunks_total = 0;
+  const IndexBody* body = nullptr;
+  std::size_t n = 0;  ///< indices, each one chunk
   std::size_t worker_cap = 0;  ///< pool workers allowed in (caller excluded)
 
   /// The caller's active metrics registry at submission time. Workers
@@ -44,7 +42,7 @@ struct Job {
   std::mutex mu;  ///< guards chunks_done / error / captured_spans below
   std::condition_variable done_cv;
   std::size_t chunks_done = 0;
-  std::size_t error_index = kNoError;  ///< begin of lowest-indexed failure
+  std::size_t error_index = kNoError;  ///< lowest failing index
   std::exception_ptr error;
   /// Span trees recorded by pool workers while draining this job; the
   /// calling thread merges them into its open span after the region ends.
@@ -63,24 +61,22 @@ std::atomic<std::uint64_t> g_pooled_regions{0};
 std::atomic<std::uint64_t> g_chunks_total{0};
 std::atomic<std::uint64_t> g_queue_remaining{0};
 
-/// Claim and execute chunks of @p job until the index space is exhausted.
-/// Exceptions are recorded (lowest begin index wins) and never abort the
-/// remaining chunks, so side effects stay deterministic. Returns the number
-/// of chunks executed by this thread.
+/// Claim and execute indices of @p job until the index space is exhausted.
+/// Exceptions are recorded (lowest index wins) and never abort the
+/// remaining indices, so side effects stay deterministic. Returns the
+/// number of indices executed by this thread.
 std::size_t drainJob(Job& job) {
   std::size_t executed = 0;
   for (;;) {
-    const std::size_t lo =
-        job.next.fetch_add(job.grain, std::memory_order_relaxed);
-    if (lo >= job.n) return executed;
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) return executed;
     g_queue_remaining.fetch_sub(1, std::memory_order_relaxed);
-    const std::size_t hi = std::min(job.n, lo + job.grain);
     try {
-      (*job.body)(lo, hi);
+      (*job.body)(i);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(job.mu);
-      if (lo < job.error_index) {
-        job.error_index = lo;
+      if (i < job.error_index) {
+        job.error_index = i;
         job.error = std::current_exception();
       }
     }
@@ -91,7 +87,7 @@ std::size_t drainJob(Job& job) {
 
 /// Lazily-started worker pool. Workers park on a condition variable and are
 /// handed whole jobs (not individual tasks); index distribution inside a
-/// job is a single atomic fetch_add per chunk.
+/// job is a single atomic fetch_add per index.
 class Pool {
  public:
   static Pool& instance() {
@@ -104,11 +100,10 @@ class Pool {
     return workers_.size();
   }
 
-  /// Execute @p body over [0, n) with up to @p threads participants
-  /// (including the calling thread). Blocks until every chunk completed;
-  /// rethrows the lowest-indexed body exception.
-  void run(std::size_t n, std::size_t grain, const RangeBody& body,
-           std::size_t threads) {
+  /// Execute @p body for every index in [0, n) with up to @p threads
+  /// participants (including the calling thread). Blocks until every index
+  /// completed; rethrows the lowest-indexed body exception.
+  void run(std::size_t n, const IndexBody& body, std::size_t threads) {
     // Serialize whole regions: two independent caller threads share the
     // pool by taking turns rather than interleaving jobs.
     const std::lock_guard<std::mutex> region(region_mu_);
@@ -122,12 +117,10 @@ class Pool {
       job = std::make_shared<Job>();
       job->body = &body;
       job->n = n;
-      job->grain = grain;
-      job->chunks_total = (n + grain - 1) / grain;
       job->worker_cap = threads - 1;
       job->metrics_registry = telemetry::detail::activeRegistry();
       g_pooled_regions.fetch_add(1, std::memory_order_relaxed);
-      g_queue_remaining.store(job->chunks_total, std::memory_order_relaxed);
+      g_queue_remaining.store(n, std::memory_order_relaxed);
 
       const std::lock_guard<std::mutex> lock(mu_);
       ensureWorkersLocked(job->worker_cap);
@@ -144,8 +137,7 @@ class Pool {
 
     std::unique_lock<std::mutex> lock(job->mu);
     job->chunks_done += executed;
-    job->done_cv.wait(lock,
-                      [&] { return job->chunks_done == job->chunks_total; });
+    job->done_cv.wait(lock, [&] { return job->chunks_done == job->n; });
     const std::exception_ptr error = job->error;
     std::vector<spans::SpanNode*> captured;
     captured.swap(job->captured_spans);
@@ -215,7 +207,7 @@ class Pool {
           const std::lock_guard<std::mutex> job_lock(job->mu);
           if (tree != nullptr) job->captured_spans.push_back(tree);
           job->chunks_done += executed;
-          complete = job->chunks_done == job->chunks_total;
+          complete = job->chunks_done == job->n;
         }
         if (complete) job->done_cv.notify_all();
       }
@@ -285,44 +277,35 @@ PoolStats poolStats() {
   return stats;
 }
 
-void parallelForChunked(std::size_t n, std::size_t grain,
-                        const RangeBody& body) {
+// mfbo-lint: allow(C001) — any n is a valid task count; 0 is a no-op
+void parallelFor(std::size_t n, const IndexBody& fn) {
   if (n == 0) return;
-  MFBO_CHECK(grain >= 1, "grain must be >= 1");
   // Journal the fan-out before the region flag flips: top-level regions
   // record at every thread count (serial path included), nested ones are
   // handled by the recorder's deterministic-mode gate — so the event
   // stream is byte-identical at 1 and N threads.
   eventlog::record(eventlog::EventKind::kPoolDispatch, nullptr, nullptr,
-                   static_cast<std::int64_t>(n),
-                   static_cast<std::int64_t>(grain));
+                   static_cast<std::int64_t>(n));
   g_regions_total.fetch_add(1, std::memory_order_relaxed);
   const std::size_t threads = maxThreads();
-  if (threads <= 1 || n <= grain || t_in_region) {
-    // Serial reference path: one call covering the whole range, so
-    // per-chunk scratch setup is paid exactly once. It is still a region —
-    // the setMaxThreads() rejection contract must not depend on the thread
-    // count — so mark it for the body's duration (restoring the prior
-    // value: nested regions land here with the flag already set).
+  if (threads <= 1 || n == 1 || t_in_region) {
+    // Serial reference path. It is still a region — the setMaxThreads()
+    // rejection contract must not depend on the thread count — so mark it
+    // for the body's duration (restoring the prior value: nested regions
+    // land here with the flag already set).
     const bool was_in_region = t_in_region;
     t_in_region = true;
     try {
-      body(0, n);
+      for (std::size_t i = 0; i < n; ++i) fn(i);
     } catch (...) {
       t_in_region = was_in_region;
       throw;
     }
     t_in_region = was_in_region;
-    g_chunks_total.fetch_add(1, std::memory_order_relaxed);
+    g_chunks_total.fetch_add(n, std::memory_order_relaxed);
     return;
   }
-  Pool::instance().run(n, grain, body, threads);
-}
-
-void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  parallelForChunked(n, 1, [&fn](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
+  Pool::instance().run(n, fn, threads);
 }
 
 }  // namespace parallel

@@ -1,12 +1,14 @@
 // mfbo — deterministic parallel execution layer.
 //
 // The reproduction's hot loops — MSP multi-start acquisition optimization
-// (§4.1), GP hyperparameter training restarts (§2.2), the Monte-Carlo
-// integration of the low-fidelity posterior (eq. 10), and per-repeat bench
+// (§4.1), GP hyperparameter training restarts (§2.2), and per-repeat bench
 // runs — are embarrassingly parallel: every task is an independent pure
 // computation whose inputs are fixed before the loop starts. This header
-// provides the one primitive they all share, a lazily-initialized
-// process-wide thread pool with *deterministic* semantics:
+// provides the one primitive they all share, parallelFor over a
+// lazily-initialized process-wide thread pool with *deterministic*
+// semantics. (The Monte-Carlo integration of eq. 10 is not among them: one
+// fused prediction is far too short to pay for a fan-out, and the MSP
+// search already calls it from inside its own region.)
 //
 //   * Slot-indexed results. parallelFor/parallelMap write each task's output
 //     into a pre-sized slot keyed by its index; callers reduce (argmin,
@@ -14,12 +16,11 @@
 //     floating-point work is independent and the reduction order is fixed,
 //     results are byte-identical at 1 thread and N threads.
 //   * No shared RNG. Parallel bodies must not draw from a shared generator;
-//     call sites either pre-draw their streams serially (NARGP's common
-//     random numbers, the GP restart start list) or derive a per-index
-//     stream with linalg::Rng::split(i).
+//     call sites either pre-draw their streams serially (the GP restart
+//     start list) or derive a per-index stream with linalg::Rng::split(i).
 //   * Ordered exception propagation. When bodies throw, every task still
 //     runs (side effects stay deterministic) and the exception from the
-//     lowest-indexed failing range is rethrown on the calling thread.
+//     lowest failing index is rethrown on the calling thread.
 //   * Nested calls run serially. A parallelFor issued from inside a worker
 //     (or from the caller's share of an active region) executes inline on
 //     the current thread, so composed parallel code cannot deadlock or
@@ -46,8 +47,8 @@
 namespace mfbo {
 namespace parallel {
 
-/// Body over a half-open index range [begin, end).
-using RangeBody = std::function<void(std::size_t, std::size_t)>;
+/// Body run once per index.
+using IndexBody = std::function<void(std::size_t)>;
 
 /// Threads a new parallel region may use (>= 1): the setMaxThreads override
 /// when set, else a valid positive MFBO_THREADS value, else
@@ -74,9 +75,10 @@ std::size_t poolWorkers();
 
 /// Point-in-time pool gauges for the service health layer
 /// (src/service/health.h). regions/chunks are cumulative totals since
-/// process start; queue_depth is the unclaimed-chunk backlog of the job
-/// in flight right now (0 between regions — the interesting reads come
-/// from a concurrent scrape or a crash dump). regions and chunks are
+/// process start; a chunk is one index, on the serial path as in the pool.
+/// queue_depth is the unclaimed-index backlog of the job in flight right
+/// now (0 between regions — the interesting reads come from a concurrent
+/// scrape or a crash dump). regions and chunks are
 /// deterministic for a fixed workload; pooled_regions and workers depend
 /// on the thread count, which is why they live here and not in an
 /// artifact.
@@ -84,22 +86,17 @@ struct PoolStats {
   std::size_t workers = 0;          ///< pool threads currently alive
   std::uint64_t regions = 0;        ///< parallel regions entered (any path)
   std::uint64_t pooled_regions = 0; ///< regions dispatched to the pool
-  std::uint64_t chunks = 0;         ///< chunks executed across all regions
-  std::uint64_t queue_depth = 0;    ///< unclaimed chunks of the live job
+  std::uint64_t chunks = 0;         ///< indices executed across all regions
+  std::uint64_t queue_depth = 0;    ///< unclaimed indices of the live job
 };
 PoolStats poolStats();
 
-/// Run body(lo, hi) over [0, n) split into chunks of at most @p grain
-/// indices, distributed dynamically over maxThreads() threads (the caller
-/// participates). Chunk *assignment* to threads is nondeterministic; the
-/// work done per index is not, so slot-indexed outputs are deterministic.
-/// Serial (1 thread, nested, or n <= grain) runs body(0, n) in one call —
-/// per-chunk setup such as scratch buffers is paid once on that path.
-void parallelForChunked(std::size_t n, std::size_t grain,
-                        const RangeBody& body);
-
-/// Run fn(i) for every i in [0, n), one index per task.
-void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
+/// Run fn(i) for every i in [0, n), one index per task, distributed
+/// dynamically over maxThreads() threads (the caller participates). Index
+/// *assignment* to threads is nondeterministic; the work done per index is
+/// not, so slot-indexed outputs are deterministic. Serial (1 thread,
+/// nested, or n == 1) runs the indices in order on the calling thread.
+void parallelFor(std::size_t n, const IndexBody& fn);
 
 /// Evaluate fn(i) for every i in [0, n) and return the results in index
 /// order. The element type must be default-constructible (slots are

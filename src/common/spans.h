@@ -1,9 +1,9 @@
 // mfbo — hierarchical span profiler with phase attribution.
 //
-// The paper's headline claim is wall-clock efficiency. Flat counters and
-// timers (common/telemetry.h) cannot answer *where* an iteration's time
-// goes — GP refit, MC integration, the MSP search, or the simulator —
-// because they have no notion of nesting. This header adds the structure:
+// The paper's headline claim is wall-clock efficiency. Flat counters
+// (common/telemetry.h) cannot answer *where* an iteration's time goes —
+// GP refit, MC integration, the MSP search, or the simulator — because
+// they have no notion of nesting. This header adds the structure:
 //
 //   * ScopedSpan — RAII frame on a thread-local span stack. Spans with the
 //     same name under the same parent aggregate into one node (call count,

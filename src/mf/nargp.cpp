@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/spans.h"
 #include "common/telemetry.h"
 
@@ -91,9 +90,6 @@ void NargpModel::addHigh(const Vector& x, double y, bool retrain) {
 }
 
 void NargpModel::rebuildHigh(bool retrain) {
-  telemetry::Timer& fuse_timer =
-      telemetry::timer("mf.nargp.fuse_seconds");
-  const telemetry::ScopedTimer fuse_scope(fuse_timer);
   const spans::ScopedSpan fit_high_span("fit_high");
   std::vector<Vector> z;
   z.reserve(x_high_.size());
@@ -123,13 +119,8 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
       telemetry::counter("mf.nargp.predict_high_calls");
   telemetry::Counter& mc_samples =
       telemetry::counter("mf.nargp.mc_samples");
-  telemetry::Timer& predict_timer =
-      telemetry::timer("mf.nargp.predict_high_seconds");
   predict_calls.add();
   mc_samples.add(config_.n_mc);
-  const telemetry::ScopedTimer predict_scope(predict_timer);
-  // One span per predictHigh call, opened *outside* the parallel MC region:
-  // per-chunk spans would count chunks, which depend on the thread count.
   const spans::ScopedSpan mc_span("mc_integration");
   spans::addCounter("mc_samples", config_.n_mc);
   const Prediction low = low_gp_.predict(x);
@@ -158,33 +149,27 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
   const std::size_t n_var = std::min(
       config_.n_mc, std::max<std::size_t>(1, config_.n_mc_var));
 
-  // Each sample pushes a fixed draw through the high-fidelity posterior —
-  // independent per index, so samples fan out in chunks over the parallel
-  // pool, writing into per-index slots. (The draws themselves are common
-  // random numbers fixed at fit time; the parallel body consumes no RNG.)
+  // Each sample pushes a fixed draw (common random numbers fixed at fit
+  // time) through the high-fidelity posterior. The loop is serial: the MSP
+  // search already calls predictHigh from inside its own parallel region,
+  // and one call is far too short to pay for a pool fan-out.
   Vector sample_mean(config_.n_mc);
   Vector sample_var(n_var);
-  parallel::parallelForChunked(
-      config_.n_mc, /*grain=*/8, [&](std::size_t lo, std::size_t hi) {
-        Vector ks(n);  // per-chunk scratch; serial path pays this once
-        for (std::size_t i = lo; i < hi; ++i) {
-          const double yl = low.mean + low_sd * mc_draws_[i];
-          for (std::size_t t = 0; t < n; ++t)
-            ks[t] = kernel.k1Scalar(yl, z_train[t][yl_index]) * c2[t] + c3[t];
-          const double mu_z = dot(ks, alpha);
-          sample_mean[i] = std_out.unapply(mu_z);
-          if (i < n_var) {
-            const Vector v = chol.solveLower(ks);
-            const double var_z =
-                std::max(sn2 + k_self - v.squaredNorm(), 1e-12);
-            sample_var[i] = std_out.unapplyVariance(var_z);
-          }
-        }
-      });
+  Vector ks(n);  // scratch, one per call
+  for (std::size_t i = 0; i < config_.n_mc; ++i) {
+    const double yl = low.mean + low_sd * mc_draws_[i];
+    for (std::size_t t = 0; t < n; ++t)
+      ks[t] = kernel.k1Scalar(yl, z_train[t][yl_index]) * c2[t] + c3[t];
+    const double mu_z = dot(ks, alpha);
+    sample_mean[i] = std_out.unapply(mu_z);
+    if (i < n_var) {
+      const Vector v = chol.solveLower(ks);
+      const double var_z = std::max(sn2 + k_self - v.squaredNorm(), 1e-12);
+      sample_var[i] = std_out.unapplyVariance(var_z);
+    }
+  }
 
-  // Ordered accumulation in sample order: every accumulator sums the same
-  // values in the same sequence as the serial loop, so the fused posterior
-  // is byte-identical at any thread count.
+  // Mean and variance by the law of total variance.
   double mean_acc = 0.0, mean_sq_acc = 0.0, var_acc = 0.0;
   for (std::size_t i = 0; i < config_.n_mc; ++i) {
     mean_acc += sample_mean[i];

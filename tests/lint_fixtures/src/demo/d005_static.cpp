@@ -3,7 +3,9 @@
 // every later scope).
 namespace telemetry {
 struct Counter;
+struct Histogram;
 Counter& counter(const char* name);
+Histogram& histogram(const char* name);
 }  // namespace telemetry
 
 namespace demo {
@@ -14,7 +16,9 @@ int bump() { return ++call_count; }
 
 void hit() {
   static telemetry::Counter& hits = telemetry::counter("demo.hits");
+  static telemetry::Histogram& latency = telemetry::histogram("demo.latency");
   (void)hits;
+  (void)latency;
 }
 
 }  // namespace demo

@@ -109,6 +109,16 @@ TEST(GpDeterminism, RestartTrainingGivesIdenticalPosterior) {
 // --- NARGP MC prediction -------------------------------------------------
 
 TEST(NargpDeterminism, McFusedPredictionIsThreadCountInvariant) {
+  // Predictions and the span tree's allocation counters must both be
+  // thread-count invariant. The top-level predictHigh calls below sit
+  // outside any caller's parallel region (as observedAcquisition's and the
+  // batch liar's calls do), so an eq. (10) loop that fanned out over the
+  // pool would allocate its scratch once per chunk instead of once per
+  // call, and mc_integration's alloc_count would differ at 4 threads.
+  struct Run {
+    std::vector<double> predictions;
+    std::string spans;
+  };
   const auto fit_and_predict = [] {
     std::vector<linalg::Vector> xl, xh;
     std::vector<double> yl, yh;
@@ -124,25 +134,33 @@ TEST(NargpDeterminism, McFusedPredictionIsThreadCountInvariant) {
     }
     mf::NargpConfig cfg;
     cfg.seed = 9;
-    cfg.n_mc = 64;  // well above the grain, so the pool actually engages
+    cfg.n_mc = 64;  // many samples per call: a per-chunk cost would show
     cfg.low.n_restarts = 1;
     cfg.high.n_restarts = 1;
+    spans::reset();
+    spans::setEnabled(true);
     mf::NargpModel model(1, cfg);
     model.fit(xl, yl, xh, yh);
-    std::vector<double> out;
+    Run run;
     for (int i = 0; i < 20; ++i) {
       const gp::Prediction p =
           model.predictHigh(linalg::Vector{(i + 0.25) / 20.0});
-      out.push_back(p.mean);
-      out.push_back(p.var);
+      run.predictions.push_back(p.mean);
+      run.predictions.push_back(p.var);
     }
-    return out;
+    run.spans = spans::snapshot(/*include_timing=*/false).dump();
+    spans::setEnabled(false);
+    spans::reset();
+    return run;
   };
-  const std::vector<double> serial = withThreads(1, fit_and_predict);
-  const std::vector<double> pooled = withThreads(4, fit_and_predict);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    EXPECT_EQ(serial[i], pooled[i]) << "slot " << i;
+  const Run serial = withThreads(1, fit_and_predict);
+  const Run pooled = withThreads(4, fit_and_predict);
+  ASSERT_EQ(serial.predictions.size(), pooled.predictions.size());
+  for (std::size_t i = 0; i < serial.predictions.size(); ++i)
+    EXPECT_EQ(serial.predictions[i], pooled.predictions[i]) << "slot " << i;
+  EXPECT_NE(serial.spans.find("\"mc_integration\""), std::string::npos);
+  EXPECT_EQ(serial.spans, pooled.spans)
+      << "span allocation counters diverged across thread counts";
 }
 
 // --- full Algorithm-1 loop -----------------------------------------------
@@ -248,8 +266,8 @@ TEST(BenchDeterminism, NoTimingArtifactBytesMatchAcrossThreadCounts) {
       4, [] { return benchArtifactBytes("det_artifact_t4.json"); });
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, pooled) << "--no-timing artifact bytes diverged";
-  // Wall times must be zeroed, and the timers section absent.
-  EXPECT_EQ(serial.find("timers"), std::string::npos);
+  // Wall times must be zeroed, and the latency histograms absent.
+  EXPECT_EQ(serial.find("histograms"), std::string::npos);
 }
 
 /// benchArtifactBytes with the span profiler on — the `--spans --no-timing`

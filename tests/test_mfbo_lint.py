@@ -121,6 +121,19 @@ class FixtureFindings(unittest.TestCase):
         ]
         self.assertEqual(noisy, [])
 
+    def test_static_telemetry_handles_get_the_targeted_message(self):
+        # Both interned handles in d005_static.cpp (a Counter and a
+        # Histogram) are reported as registry-pinning, not as generic
+        # mutable statics.
+        pinned = [
+            f
+            for f in self.report["findings"]
+            if f["rule"] == "D005"
+            and f["path"] == "src/demo/d005_static.cpp"
+            and "pins the registry" in f["message"]
+        ]
+        self.assertEqual(len(pinned), 2)
+
     def test_wellformed_suppression_silences_without_s001(self):
         path = "src/demo/suppressed_ok.cpp"
         self.assertFalse(any(p == path for _, p in self.found))
