@@ -9,9 +9,9 @@
 //   --threads N  thread count for the parallel execution layer (positive
 //                integer; 1 = fully serial; default MFBO_THREADS env var
 //                or hardware concurrency)
-//   --no-timing  zero wall-clock fields and drop the latency histograms,
-//                peak RSS and span times from the --out artifact, making
-//                same-seed artifacts byte-identical at any thread count
+//   --no-timing  zero wall-clock fields and drop peak RSS and span times
+//                from the --out artifact, making same-seed artifacts
+//                byte-identical at any thread count
 //   --out FILE   write a machine-readable JSON artifact with the per-run
 //                results and a telemetry metrics snapshot
 //   --spans      enable the hierarchical span profiler; the --out artifact

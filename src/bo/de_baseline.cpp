@@ -37,7 +37,6 @@ SynthesisResult DeBaseline::run(Problem& problem, std::uint64_t seed) const {
 
   auto evaluate = [&](const Vector& x) {
     const spans::ScopedSpan sim_span("simulate_high");
-    spans::addCounter("sims_high");
     Evaluation eval = problem.evaluate(x, Fidelity::kHigh);
     tracker.charge(Fidelity::kHigh);
     history.push_back({x, eval, Fidelity::kHigh, tracker.cost()});

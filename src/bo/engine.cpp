@@ -405,9 +405,8 @@ SynthesisResult Engine::takeResult() {
 }
 
 Evaluation Engine::simulate(const Vector& u, Fidelity f) {
-  const bool hi = f == Fidelity::kHigh;
-  const spans::ScopedSpan sim_span(hi ? "simulate_high" : "simulate_low");
-  spans::addCounter(hi ? "sims_high" : "sims_low");
+  const spans::ScopedSpan sim_span(f == Fidelity::kHigh ? "simulate_high"
+                                                       : "simulate_low");
   return problem_->evaluate(real_box_.fromUnit(u), f);
 }
 

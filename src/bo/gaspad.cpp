@@ -53,7 +53,6 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
 
   auto evaluate = [&](const Vector& u) {
     const spans::ScopedSpan sim_span("simulate_high");
-    spans::addCounter("sims_high");
     const Vector x_real = real_box.fromUnit(u);
     Evaluation eval = problem.evaluate(x_real, Fidelity::kHigh);
     tracker.charge(Fidelity::kHigh);
@@ -142,7 +141,6 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
       }
     }
 
-    spans::addCounter("children_screened", children.size());
     phase_span.reset();
     children_total.add(children.size());
     evaluate(dedupeCandidate(std::move(best_child), data, unit, rng));

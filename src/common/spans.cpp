@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/memstats.h"
+#include "common/telemetry.h"
 #include "common/timeline.h"
 
 namespace mfbo {
@@ -186,9 +187,11 @@ void setEnabled(bool on) {
 
 bool enabled() { return (activeFlags() & kProfile) != 0; }
 
-ScopedSpan::ScopedSpan(const char* name) {
+// mfbo-lint: allow(C001) — nullptr is the documented "no latency feed" value
+ScopedSpan::ScopedSpan(const char* name, telemetry::Histogram* latency)
+    : latency_(latency) {
   const unsigned flags = activeFlags();
-  if (flags == 0) return;
+  if (flags == 0 && latency == nullptr) return;
   if ((flags & kProfile) != 0) {
     ThreadState& state = threadState();
     state.ensureRoot();
@@ -205,15 +208,21 @@ ScopedSpan::ScopedSpan(const char* name) {
     timeline_name_ = name;
     timeline::detail::recordBegin(name);
   }
-  if (node_ != nullptr) start_ = std::chrono::steady_clock::now();
+  if (node_ != nullptr || latency_ != nullptr)
+    start_ = std::chrono::steady_clock::now();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (timeline_name_ != nullptr) timeline::detail::recordEnd(timeline_name_);
+  if (node_ == nullptr && latency_ == nullptr) return;
+  const std::int64_t elapsed_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start_)
+          .count();
+  if (latency_ != nullptr)
+    latency_->record(static_cast<double>(elapsed_ns) * 1e-9);
   if (node_ == nullptr) return;
-  node_->total_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count();
+  node_->total_ns += elapsed_ns;
   ThreadState& state = threadState();
   // This span was innermost since the last boundary: the allocation delta
   // is its self-allocation. Flush before moving the cursor to the parent.

@@ -1,20 +1,20 @@
 // mfbo — hierarchical span profiler with phase attribution.
 //
 // The paper's headline claim is wall-clock efficiency. Flat counters
-// (common/telemetry.h) cannot answer *where* an iteration's time goes —
-// GP refit, MC integration, the MSP search, or the simulator — because
-// they have no notion of nesting. This header adds the structure:
+// (common/telemetry.h) cannot say *where* an iteration's time goes — GP
+// refit, MC integration, the MSP search, or the simulator. Spans can:
 //
 //   * ScopedSpan — RAII frame on a thread-local span stack. Spans with the
 //     same name under the same parent aggregate into one node (call count,
 //     total wall time); distinct call paths stay distinct, so the snapshot
 //     is a tree of phases, not a flat list. Self time is derived at
 //     serialization: total minus the children's totals.
-//   * Per-span counters — addCounter() attributes an event (a simulator
-//     invocation, a Cholesky jitter retry) to the innermost open span, so
-//     "how many sims did acq_high trigger" falls out of the tree.
+//   * Per-span counters — addCounter() attributes an event the node count
+//     does not already record (a Cholesky jitter retry) to the innermost
+//     open span.
 //   * Off-by-default behind a single branch — when disabled (the default),
-//     ScopedSpan's constructor is one relaxed atomic load, no allocation.
+//     ScopedSpan's constructor is one relaxed atomic load plus a null test
+//     of its optional latency Histogram (the session step-latency feed).
 //   * Memory attribution — every span boundary snapshots the thread-local
 //     allocation counters of common/memstats.h and attributes the delta
 //     to the innermost span as `alloc_count`/`alloc_bytes`. The profiler's
@@ -45,6 +45,10 @@
 #include "common/json.h"
 
 namespace mfbo {
+namespace telemetry {
+class Histogram;
+}  // namespace telemetry
+
 namespace spans {
 
 struct SpanNode;  // opaque; defined in spans.cpp
@@ -65,11 +69,14 @@ bool enabled();
 /// construction, closes it (accumulating wall time and the allocation delta
 /// since the previous span boundary) on destruction. While a timeline
 /// recording is active (common/timeline.h) it also emits begin/end trace
-/// events. When both features are disabled at construction time the object
-/// is inert.
+/// events. A non-null @p latency receives the scope's wall time in seconds
+/// on destruction, profiler on or off; it must outlive the span. When both
+/// features are disabled at construction time and @p latency is null the
+/// object is inert.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
+  explicit ScopedSpan(const char* name,
+                      telemetry::Histogram* latency = nullptr);
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ~ScopedSpan();
@@ -77,6 +84,7 @@ class ScopedSpan {
  private:
   SpanNode* node_ = nullptr;
   const char* timeline_name_ = nullptr;
+  telemetry::Histogram* latency_ = nullptr;
   std::chrono::steady_clock::time_point start_{};
 };
 

@@ -14,45 +14,6 @@ namespace telemetry {
 
 namespace {
 
-/// Name-keyed metric store. std::map keeps snapshots sorted (deterministic
-/// artifact output); unique_ptr keeps references stable across rehashing.
-/// Lookups and traversals lock: parallel workers resolve get() through the
-/// function-local `Metric&` lookups of instrumentation sites.
-template <typename Metric>
-class Registry {
- public:
-  Metric& get(std::string_view name) {
-    // First-use metric creation is telemetry overhead; keep it out of the
-    // per-span memory attribution (common/memstats.h) so a counter's first
-    // bump costs the same "workload memory" as every later one: none.
-    const memstats::PauseScope alloc_pause;
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto it = metrics_.find(name);
-    if (it == metrics_.end()) {
-      it = metrics_
-               .emplace(std::string(name), std::make_unique<Metric>())
-               .first;
-    }
-    return *it->second;
-  }
-
-  void resetAll() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto& entry : metrics_) entry.second->reset();
-  }
-
-  template <typename Fn>
-  void forEach(Fn&& fn) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& entry : metrics_) fn(entry.first, *entry.second);
-  }
-
- private:
-  mutable std::mutex mu_;
-  // Transparent comparator: lookups by string_view without allocating.
-  std::map<std::string, std::unique_ptr<Metric>, std::less<>> metrics_;
-};
-
 std::atomic<TraceSink*>& sinkSlot() {
   static std::atomic<TraceSink*> sink{nullptr};
   return sink;
@@ -64,10 +25,14 @@ thread_local MetricsRegistry* t_active_registry = nullptr;
 
 }  // namespace
 
+/// Name-keyed counter store. std::map keeps snapshots sorted (deterministic
+/// artifact output); unique_ptr keeps references stable. Lookups and
+/// traversals lock: parallel workers resolve counter() through the
+/// function-local `Counter&` lookups of instrumentation sites.
 struct MetricsRegistry::Impl {
-  Registry<Counter> counters;
-  Registry<Gauge> gauges;
-  Registry<Histogram> histograms;
+  std::mutex mu;
+  // Transparent comparator: lookups by string_view without allocating.
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
 };
 
 std::size_t Histogram::bucketIndex(double seconds) {
@@ -145,51 +110,37 @@ MetricsRegistry::MetricsRegistry() {
 MetricsRegistry::~MetricsRegistry() = default;
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  return impl_->counters.get(name);
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return impl_->gauges.get(name);
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  return impl_->histograms.get(name);
+  // First-use counter creation is telemetry overhead; keep it out of the
+  // per-span memory attribution (common/memstats.h) so a counter's first
+  // bump costs the same "workload memory" as every later one: none.
+  const memstats::PauseScope alloc_pause;
+  const std::lock_guard<std::mutex> lock(impl_->mu);
+  auto it = impl_->counters.find(name);
+  if (it == impl_->counters.end()) {
+    it = impl_->counters
+             .emplace(std::string(name), std::make_unique<Counter>())
+             .first;
+  }
+  return *it->second;
 }
 
 void MetricsRegistry::reset() {
-  impl_->counters.resetAll();
-  impl_->gauges.resetAll();
-  impl_->histograms.resetAll();
+  const std::lock_guard<std::mutex> lock(impl_->mu);
+  for (auto& entry : impl_->counters) entry.second->reset();
 }
 
-Json MetricsRegistry::metricsJson(bool include_timing) const {
+Json MetricsRegistry::metricsJson() const {
   // Snapshot construction allocates heavily; none of it is workload memory.
   const memstats::PauseScope alloc_pause;
-  Json snapshot = Json::object();
   Json counter_obj = Json::object();
-  impl_->counters.forEach([&](const std::string& name, const Counter& c) {
-    counter_obj.set(name, Json::number(static_cast<double>(c.value())));
-  });
-  Json gauge_obj = Json::object();
-  impl_->gauges.forEach([&](const std::string& name, const Gauge& g) {
-    gauge_obj.set(name, Json::number(g.value()));
-  });
-  snapshot.set("counters", std::move(counter_obj));
-  snapshot.set("gauges", std::move(gauge_obj));
-  if (include_timing) {
-    Json histogram_obj = Json::object();
-    impl_->histograms.forEach(
-        [&](const std::string& name, const Histogram& h) {
-          Json entry = Json::object();
-          entry.set("count", Json::number(static_cast<double>(h.count())));
-          entry.set("total_s", Json::number(h.totalSeconds()));
-          entry.set("p50_s", Json::number(h.quantileSeconds(0.50)));
-          entry.set("p90_s", Json::number(h.quantileSeconds(0.90)));
-          entry.set("p99_s", Json::number(h.quantileSeconds(0.99)));
-          histogram_obj.set(name, std::move(entry));
-        });
-    snapshot.set("histograms", std::move(histogram_obj));
+  {
+    const std::lock_guard<std::mutex> lock(impl_->mu);
+    for (const auto& entry : impl_->counters)
+      counter_obj.set(entry.first,
+                      Json::number(static_cast<double>(entry.second->value())));
   }
+  Json snapshot = Json::object();
+  snapshot.set("counters", std::move(counter_obj));
   return snapshot;
 }
 
@@ -223,21 +174,15 @@ MetricsRegistry* exchangeActiveRegistry(MetricsRegistry* registry) {
 Counter& counter(std::string_view name) {
   return detail::activeRegistry()->counter(name);
 }
-Gauge& gauge(std::string_view name) {
-  return detail::activeRegistry()->gauge(name);
-}
-Histogram& histogram(std::string_view name) {
-  return detail::activeRegistry()->histogram(name);
-}
 
 Json metricsSnapshot(bool include_timing) {
   // Snapshot construction allocates heavily; none of it is workload memory.
   const memstats::PauseScope alloc_pause;
-  Json snapshot = detail::activeRegistry()->metricsJson(include_timing);
+  Json snapshot = detail::activeRegistry()->metricsJson();
   if (include_timing) {
-    // The kernel's high-water mark, like the latency histograms, is
+    // The kernel's high-water mark, like the span wall times, is
     // real-machine state: meaningful for a human, nondeterministic by
-    // nature, and therefore only present when the wall-clock sections are.
+    // nature, and therefore only present when the wall-clock fields are.
     snapshot.set("peak_rss_bytes",
                  Json::number(static_cast<double>(memstats::peakRssBytes())));
   }

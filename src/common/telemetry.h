@@ -6,21 +6,18 @@
 // impossible to diagnose without a debugger. This header provides the two
 // observability primitives the rest of the library hooks into:
 //
-//   * Metrics — named monotonic Counters, Gauges, and latency Histograms in
-//     a MetricsRegistry. There is one process-wide default registry
-//     (globalMetrics()); a TelemetryScope temporarily points the calling
-//     thread's free counter()/gauge()/histogram() lookups at a private
-//     registry instead, which is how the session layer (src/service) keeps
-//     N concurrent engines from interleaving their counters in one shared
-//     store. Instrumentation sites look their metric up once per *call*
-//     (a function-local reference), never once per *process*: a cached
-//     `static Metric&` would pin whichever registry happened to be active
-//     at first touch forever, which is exactly the cross-session
-//     interleaving bug the scoping exists to fix (lint rule D005 rejects
-//     the static form). `metricsSnapshot()` serializes the active registry
-//     to JSON for the bench `--out` artifacts; `resetMetrics()` zeroes its
-//     values (references stay valid) so tests and repeated bench runs can
-//     isolate measurements.
+//   * Metrics — always-on named monotonic Counters in a MetricsRegistry
+//     (scopes are timed by the span profiler, common/spans.h). There is one
+//     process-wide default registry (globalMetrics()); a TelemetryScope
+//     points the calling thread's counter() lookups at a private registry,
+//     which is how the session layer (src/service) keeps N concurrent
+//     engines from interleaving their counters in one shared store. Sites
+//     look their counter up once per *call*, never once per *process*: a
+//     `static Counter&` would pin the registry active at first touch
+//     forever, the cross-session interleaving bug the scoping exists to
+//     fix (lint rule D005 rejects it). `metricsSnapshot()` serializes the
+//     active registry for the bench `--out` artifacts; `resetMetrics()`
+//     zeroes its values (references stay valid).
 //
 //   * Tracing — structured events (JSON objects) routed to an installable
 //     TraceSink. The default sink is null: `traceEnabled()` is a single
@@ -29,18 +26,20 @@
 //     TraceWriter is the JSONL file sink (one event per line, flushed);
 //     CollectingTraceSink buffers events in memory for tests and embedders.
 //
+// Histogram is a plain value type, not a registry metric: a Session owns
+// one, fed by its step span, for the health snapshot.
+//
 // The metrics side is thread-safe: instrumented sites run inside the
-// deterministic parallel regions of common/parallel.h, so counter/gauge
-// updates and histogram records are relaxed atomics, and registry
-// lookups are mutex-protected (references stay stable and valid forever).
-// Trace sinks remain single-writer by contract — events are emitted only
-// from the serial sections of the synthesis loops — except TraceWriter,
-// which locks per line so embedders tracing from their own threads get
-// whole-line interleaving.
+// deterministic parallel regions of common/parallel.h, so counter updates
+// and histogram records are relaxed atomics, and registry lookups are
+// mutex-protected (references stay stable and valid forever). Trace sinks
+// remain single-writer by contract — events are emitted only from the
+// serial sections of the synthesis loops — except TraceWriter, which locks
+// per line so embedders tracing from their own threads get whole-line
+// interleaving.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -71,24 +70,13 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-value-wins instantaneous metric (atomic store/load).
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Fixed-bucket log-scale latency histogram for the service health layer
-/// (src/service/health.h). It answers the operator's SLO question — p50/
-/// p90/p99 over an unbounded stream — with *bucket-exact* quantiles at a
-/// fixed resolution of kBucketsPerDecade buckets per decade over
-/// [100ns, 1000s], plus an underflow and an overflow bucket. (Where a run
-/// artifact needs "how long did this phase take", the span profiler of
-/// common/spans.h answers it.) record() is lock-free (three relaxed
+/// (src/service/health.h); a ScopedSpan given its address records each
+/// scope's wall time into it (common/spans.h). It answers the operator's
+/// SLO question — p50/p90/p99 over an unbounded stream — with
+/// *bucket-exact* quantiles at a fixed resolution of kBucketsPerDecade
+/// buckets per decade over [100ns, 1000s], plus an underflow and an
+/// overflow bucket. record() is lock-free (three relaxed
 /// atomic bumps, no allocation ever), so it is safe on every hot path and
 /// readable mid-flight by a health scrape. Quantiles report the upper
 /// edge of the covering bucket: deterministic for fixed counts, never
@@ -123,13 +111,13 @@ class Histogram {
   std::atomic<std::int64_t> total_ns_{0};
 };
 
-/// An isolated named-metric store. Lookups create the metric on first use
+/// An isolated named-counter store. Lookups create the counter on first use
 /// and return references that stay valid for the registry's lifetime
 /// (reset() zeroes values without invalidating references). The process has
-/// one default instance — globalMetrics() — backing the free
-/// counter()/gauge()/histogram() functions; the session layer gives every
-/// concurrent optimization run a private instance via TelemetryScope so
-/// snapshots never mix two runs' counters.
+/// one default instance — globalMetrics() — backing the free counter()
+/// function; the session layer gives every concurrent optimization run a
+/// private instance via TelemetryScope so snapshots never mix two runs'
+/// counters.
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -138,32 +126,25 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
 
-  /// Zero every registered metric (references stay valid).
+  /// Zero every registered counter (references stay valid).
   void reset();
 
-  /// Serialize this registry's metrics, sorted by name:
-  /// {"counters":{...},"gauges":{...},
-  ///  "histograms":{name:{count,total_s,p50_s,p90_s,p99_s}}}.
-  /// With include_timing=false the wall-clock "histograms" section is
-  /// omitted; counters and gauges are deterministic for a
-  /// fixed seed at any thread count, so the remaining document is
-  /// byte-reproducible.
-  Json metricsJson(bool include_timing) const;
+  /// Serialize this registry's counters, sorted by name:
+  /// {"counters":{...}}. Counters are deterministic for a fixed seed at any
+  /// thread count, so the document is byte-reproducible.
+  Json metricsJson() const;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// The process-wide default registry: what counter()/gauge()/histogram()
-/// resolve against when no TelemetryScope is active on the calling thread.
+/// The process-wide default registry: what counter() resolves against when no TelemetryScope is active on the calling thread.
 MetricsRegistry& globalMetrics();
 
 /// RAII registry scoping: while alive, the constructing thread's free
-/// counter()/gauge()/histogram()/metricsSnapshot()/resetMetrics() calls
+/// counter()/metricsSnapshot()/resetMetrics() calls
 /// resolve against @p registry instead of globalMetrics(). Scopes nest
 /// (restore the previous registry on destruction) and are thread-local —
 /// the parallel pool propagates the active registry into its workers per
@@ -193,7 +174,7 @@ MetricsRegistry* activeRegistry();
 MetricsRegistry* exchangeActiveRegistry(MetricsRegistry* registry);
 }  // namespace detail
 
-/// Lookup in the calling thread's active registry; creates the metric on
+/// Lookup in the calling thread's active registry; creates the counter on
 /// first use. The reference stays valid for the registry's lifetime, so a
 /// call site that bumps in a loop hoists the lookup into a *function-local*
 /// reference:
@@ -206,44 +187,21 @@ MetricsRegistry* exchangeActiveRegistry(MetricsRegistry* registry);
 /// was active at first call for the process lifetime, silently routing
 /// later sessions' metrics into the wrong store (lint rule D005).
 Counter& counter(std::string_view name);
-Gauge& gauge(std::string_view name);
-Histogram& histogram(std::string_view name);
 
 /// Serialize the active registry (MetricsRegistry::metricsJson) and append
 /// process-level observability state:
-/// {"counters":{...},"gauges":{...},
-///  "histograms":{name:{count,total_s,p50_s,p90_s,p99_s}},
-///  "peak_rss_bytes":...}.
+/// {"counters":{...},"peak_rss_bytes":...}.
 /// When the span profiler is enabled (common/spans.h) the calling thread's
 /// span tree is appended under a "spans" key. With include_timing=false the
-/// wall-clock "histograms" section and the nondeterministic process peak-RSS
-/// sample (common/memstats.h) are omitted and the span tree drops its
-/// total_s/self_s fields — counters, gauges, span counts, and the per-span
-/// allocation counters are deterministic for a fixed seed at any thread
-/// count, so the remaining snapshot is byte-reproducible (the bench
-/// --no-timing artifacts rely on this).
+/// nondeterministic process peak-RSS sample (common/memstats.h) is omitted
+/// and the span tree drops its total_s/self_s fields — counters, span
+/// counts, and the per-span allocation counters are deterministic for a
+/// fixed seed at any thread count, so the remaining snapshot is
+/// byte-reproducible (the bench --no-timing artifacts rely on this).
 Json metricsSnapshot(bool include_timing = true);
 
-/// Zero every metric in the active registry (references stay valid).
+/// Zero every counter in the active registry (references stay valid).
 void resetMetrics();
-
-/// RAII wall-clock latency sample recording into a Histogram on
-/// destruction.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram& h)
-      : histogram_(h), start_(std::chrono::steady_clock::now()) {}
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-  ~ScopedLatency() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    histogram_.record(std::chrono::duration<double>(elapsed).count());
-  }
-
- private:
-  Histogram& histogram_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Destination for structured trace events.
 class TraceSink {

@@ -115,14 +115,8 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
   MFBO_CHECK(high_gp_.fitted(), "model is not fitted");
   MFBO_DCHECK(x.size() == x_dim_, "input dim ", x.size(),
               " does not match x_dim ", x_dim_);
-  telemetry::Counter& predict_calls =
-      telemetry::counter("mf.nargp.predict_high_calls");
-  telemetry::Counter& mc_samples =
-      telemetry::counter("mf.nargp.mc_samples");
-  predict_calls.add();
-  mc_samples.add(config_.n_mc);
+  telemetry::counter("mf.nargp.predict_high_calls").add();
   const spans::ScopedSpan mc_span("mc_integration");
-  spans::addCounter("mc_samples", config_.n_mc);
   const Prediction low = low_gp_.predict(x);
   const double low_sd = low.sd();
 

@@ -95,11 +95,9 @@ void Session::step() {
   {
     // session_step > <algo> > <phase spans>: the algo span reproduces the
     // run-span nesting of Engine::run(), so a stepped session's tree
-    // matches a solo run driven the same way. The latency sample feeds the
-    // health layer's SLO histogram (lookup per call — lint rule D005).
-    const telemetry::ScopedLatency latency(
-        telemetry::histogram("session.step_latency"));
-    const spans::ScopedSpan step_span("session_step");
+    // matches a solo run driven the same way. The step span also feeds the
+    // health layer's SLO histogram, profiler on or off.
+    const spans::ScopedSpan step_span("session_step", &step_latency_);
     const spans::ScopedSpan algo_span(engine_->algo());
     engine_->step();
   }
@@ -215,8 +213,7 @@ Json Session::healthJson() {
   doc.set("cost_budget", Json::number(budget));
   doc.set("budget_fraction",
           Json::number(budget > 0.0 ? spent / budget : 0.0));
-  const telemetry::Histogram& latency =
-      metrics_.histogram("session.step_latency");
+  const telemetry::Histogram& latency = step_latency_;
   Json step_latency = Json::object();
   step_latency.set("count",
                    Json::number(static_cast<double>(latency.count())));

@@ -1,8 +1,9 @@
 // mfbo::service — one optimization session: an Engine plus the scoped
 // observability state that keeps it isolated from every other session.
 //
-// A Session owns its Problem, its Engine, a private telemetry registry
-// (common/telemetry.h) and a private span arena (common/spans.h). Every
+// A Session owns its Problem, its Engine, a private counter registry
+// (common/telemetry.h), a private span arena (common/spans.h) and the
+// step-latency Histogram its "session_step" span feeds. Every
 // entry into the engine — construction, step, restore, snapshot — happens
 // under a TelemetryScope + ArenaScope pair, so N sessions interleaving on
 // one driver thread and the shared worker pool accumulate counters, spans,
@@ -113,7 +114,7 @@ class Session {
 
   /// Per-session SLO snapshot for the health exporter (service/health.h):
   /// status, steps, engine progress (iterations, cost spent vs. budget),
-  /// step-latency quantiles from this session's private histogram, derived
+  /// step-latency quantiles from this session's step histogram, derived
   /// steps/sec, and the number of steps since the last persisted boundary
   /// (the checkpoint-age gauge). Wall-clock fields come from the latency
   /// histogram, so the document is operator-facing, not byte-deterministic.
@@ -132,6 +133,8 @@ class Session {
   // holds into the registry must outlive it.
   telemetry::MetricsRegistry metrics_;
   spans::SpanArena arena_;
+  /// Wall time of every step(), fed by its "session_step" span.
+  telemetry::Histogram step_latency_;
   std::unique_ptr<bo::Problem> problem_;
   std::unique_ptr<bo::Engine> engine_;
   SessionStatus status_ = SessionStatus::kRunning;

@@ -34,9 +34,10 @@ std::optional<std::string> readFileIfExists(const std::string& path) {
   return text;
 }
 
-/// Crash-safe write: the document lands under a temporary name and is
-/// renamed over the target, so a kill mid-write leaves either the old
-/// boundary or the new one on disk — never a torn file.
+/// Kill-safe write: the document lands under a temporary name and is
+/// renamed over the target, so a killed process leaves either the old
+/// boundary or the new one on disk — never a torn file. Nothing is
+/// fsync'd, so this does not hold across power loss or an OS crash.
 void writeFileAtomic(const std::string& path, const std::string& text) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");

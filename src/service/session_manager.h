@@ -17,6 +17,8 @@
 // Crash recovery: with a checkpoint directory configured, the manager
 // persists each session's checkpoint() every checkpoint_every steps
 // (atomically: write-to-temp + rename) and its resultJson() at completion.
+// Neither the file nor the directory is fsync'd, so recovery survives a
+// killed process, not power loss or an OS crash.
 // Recovery is id-keyed, never directory-scanned: create() with the same
 // SessionSpec finds `<dir>/<id>.result.json` (adopt, already done) or
 // `<dir>/<id>.ckpt.json` (replay-restore) and otherwise starts fresh — so

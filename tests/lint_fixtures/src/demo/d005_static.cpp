@@ -3,9 +3,7 @@
 // every later scope).
 namespace telemetry {
 struct Counter;
-struct Histogram;
 Counter& counter(const char* name);
-Histogram& histogram(const char* name);
 }  // namespace telemetry
 
 namespace demo {
@@ -16,9 +14,7 @@ int bump() { return ++call_count; }
 
 void hit() {
   static telemetry::Counter& hits = telemetry::counter("demo.hits");
-  static telemetry::Histogram& latency = telemetry::histogram("demo.latency");
   (void)hits;
-  (void)latency;
 }
 
 }  // namespace demo

@@ -266,8 +266,9 @@ TEST(BenchDeterminism, NoTimingArtifactBytesMatchAcrossThreadCounts) {
       4, [] { return benchArtifactBytes("det_artifact_t4.json"); });
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, pooled) << "--no-timing artifact bytes diverged";
-  // Wall times must be zeroed, and the latency histograms absent.
-  EXPECT_EQ(serial.find("histograms"), std::string::npos);
+  // The metrics snapshot's one wall-clock section, the RSS sample, must be
+  // absent.
+  EXPECT_EQ(serial.find("peak_rss_bytes"), std::string::npos);
 }
 
 /// benchArtifactBytes with the span profiler on — the `--spans --no-timing`

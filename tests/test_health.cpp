@@ -1,9 +1,11 @@
 // Health-layer battery: the fixed-bucket latency Histogram (bucket-exact
-// quantiles, lock-free recording, registry integration), the per-session
-// and fleet health snapshots, and the Prometheus-style exposition writer.
+// quantiles, lock-free recording), the session step span that feeds it, the
+// per-session and fleet health snapshots, and the Prometheus-style
+// exposition writer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -12,7 +14,9 @@
 #include "bo/mfbo.h"
 #include "common/check.h"
 #include "common/json.h"
+#include "common/spans.h"
 #include "common/telemetry.h"
+#include "common/timeline.h"
 #include "problems/synthetic.h"
 #include "service/health.h"
 #include "service/session_manager.h"
@@ -116,58 +120,52 @@ TEST(Histogram, ResetZeroesEverything) {
   EXPECT_EQ(h.quantileSeconds(0.9), 0.0);
 }
 
-TEST(HistogramRegistry, LookupCreatesAndReferencesStayValid) {
-  telemetry::MetricsRegistry registry;
-  Histogram& h = registry.histogram("svc.latency");
-  h.record(0.5);
-  EXPECT_EQ(registry.histogram("svc.latency").count(), 1u);
-  registry.reset();
-  EXPECT_EQ(h.count(), 0u);  // same object, zeroed
-}
-
-TEST(HistogramRegistry, SnapshotIncludesHistogramsOnlyWithTimers) {
-  telemetry::MetricsRegistry registry;
-  registry.histogram("svc.latency").record(0.002);
-  const Json timed = registry.metricsJson(/*include_timing=*/true);
-  ASSERT_TRUE(timed.contains("histograms"));
-  const Json& entry = timed.at("histograms").at("svc.latency");
-  EXPECT_EQ(entry.at("count").asNumber(), 1.0);
-  EXPECT_GT(entry.at("p50_s").asNumber(), 0.0);
-  ASSERT_TRUE(entry.contains("p90_s"));
-  ASSERT_TRUE(entry.contains("p99_s"));
-  // Wall-clock sections are omitted from the deterministic artifact.
-  const Json untimed = registry.metricsJson(/*include_timing=*/false);
-  EXPECT_FALSE(untimed.contains("histograms"));
-}
-
-TEST(HistogramRegistry, ScopedLatencyRecordsOneSample) {
-  telemetry::MetricsRegistry registry;
-  const telemetry::TelemetryScope scope(registry);
-  {
-    const telemetry::ScopedLatency latency(
-        telemetry::histogram("svc.latency"));
-  }
-  EXPECT_EQ(registry.histogram("svc.latency").count(), 1u);
-}
+/// Which span feature is on while the session steps.
+enum class Recording { kNone, kProfiler, kTimeline };
 
 TEST(SessionHealth, SnapshotCarriesTheSloGauges) {
-  service::Session session(makeSpec("h0", 42));
-  session.step();
-  session.step();
-  Json doc = session.healthJson();
-  EXPECT_EQ(doc.at("session").asString(), "h0");
-  EXPECT_EQ(doc.at("algo").asString(), "mfbo");
-  EXPECT_EQ(doc.at("status").asString(), "running");
-  EXPECT_EQ(doc.at("steps").asNumber(), 2.0);
-  // Never persisted: the checkpoint age is the full step count.
-  EXPECT_EQ(doc.at("checkpoint_age_steps").asNumber(), 2.0);
-  EXPECT_GE(doc.at("cost_spent").asNumber(), 0.0);
-  EXPECT_GT(doc.at("cost_budget").asNumber(), 0.0);
-  const double fraction = doc.at("budget_fraction").asNumber();
-  EXPECT_GE(fraction, 0.0);
-  EXPECT_LE(fraction, 1.0);
-  EXPECT_EQ(doc.at("step_latency").at("count").asNumber(), 2.0);
-  EXPECT_GE(doc.at("steps_per_sec").asNumber(), 0.0);
+  // The step span feeds the latency histogram whichever span feature is on:
+  // neither, the aggregating profiler, or only a timeline recording.
+  for (const Recording recording :
+       {Recording::kNone, Recording::kProfiler, Recording::kTimeline}) {
+    SCOPED_TRACE(static_cast<int>(recording));
+    const std::string timeline_path =
+        testing::TempDir() + "health_slo_timeline.json";
+    if (recording == Recording::kProfiler) spans::setEnabled(true);
+    if (recording == Recording::kTimeline) timeline::start(timeline_path);
+    service::Session session(makeSpec("h0", 42));
+    session.step();
+    session.step();
+    Json doc = session.healthJson();
+    EXPECT_EQ(doc.at("session").asString(), "h0");
+    EXPECT_EQ(doc.at("algo").asString(), "mfbo");
+    EXPECT_EQ(doc.at("status").asString(), "running");
+    EXPECT_EQ(doc.at("steps").asNumber(), 2.0);
+    // Never persisted: the checkpoint age is the full step count.
+    EXPECT_EQ(doc.at("checkpoint_age_steps").asNumber(), 2.0);
+    EXPECT_GE(doc.at("cost_spent").asNumber(), 0.0);
+    EXPECT_GT(doc.at("cost_budget").asNumber(), 0.0);
+    const double fraction = doc.at("budget_fraction").asNumber();
+    EXPECT_GE(fraction, 0.0);
+    EXPECT_LE(fraction, 1.0);
+    EXPECT_EQ(doc.at("step_latency").at("count").asNumber(), 2.0);
+    EXPECT_GE(doc.at("steps_per_sec").asNumber(), 0.0);
+    if (recording == Recording::kProfiler) {
+      const Json spans_tree =
+          session.artifactJson(/*include_timing=*/false)
+              .at("metrics")
+              .at("spans");
+      EXPECT_EQ(
+          spans_tree.at("children").at("session_step").at("count").asNumber(),
+          2.0);
+      spans::setEnabled(false);
+      spans::reset();
+    }
+    if (recording == Recording::kTimeline) {
+      timeline::stop();
+      std::remove(timeline_path.c_str());
+    }
+  }
 }
 
 TEST(SessionHealth, NotePersistedResetsTheCheckpointAge) {

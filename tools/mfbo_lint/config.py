@@ -44,6 +44,10 @@ class HotPath:
 class Coupling:
     """A registered observability coupling: `file` must mention `token`.
 
+    `token` is one identifier, or a space-separated run of tokens that must
+    appear contiguously (`& hist`) when the mere name would also match
+    sites that only read the hooked state.
+
     The observability stack works through cross-file hook sites — the span
     profiler dispatches to the timeline recorder, the pool hands captured
     arenas back, telemetry samples peak RSS. Deleting one of those call
@@ -258,8 +262,8 @@ class Config:
         ),
         Coupling(
             "src/service/session.cpp",
-            "ScopedLatency",
-            "every session step must record into the step-latency SLO "
+            '"session_step" , & step_latency_',
+            "every session step span must feed the step-latency SLO "
             "histogram or healthJson() quantiles go stale",
         ),
         Coupling(

@@ -236,7 +236,7 @@ def check_d004(ctx: FileContext):
         )
 
 
-_TELEMETRY_HANDLES = {"Counter", "Gauge", "Histogram"}
+_TELEMETRY_HANDLES = {"Counter"}
 
 
 def check_d005(ctx: FileContext):

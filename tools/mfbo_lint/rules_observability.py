@@ -169,9 +169,13 @@ def check_o003_project(root: Path, files: dict[str, "FileContext"], config):
             tokens, _ = lex(path.read_text(encoding="utf-8"))
         else:
             tokens = ctx.tokens
-        present = {t.value for t in tokens if t.kind == "id"}
+        values = [t.value for t in tokens]
         for coupling in couplings:
-            if coupling.token not in present:
+            run = coupling.token.split()
+            if not any(
+                values[i : i + len(run)] == run
+                for i in range(len(values) - len(run) + 1)
+            ):
                 yield Finding(
                     "O003",
                     relpath,

@@ -54,8 +54,10 @@ cmake --build --preset release -j "$(nproc)" \
   --out "${out_dir}/BENCH_micro_sessions.json"
 
 # google-benchmark timings; the perf gate normalizes by a reference
-# benchmark (BM_Cholesky/64) to cancel absolute machine speed.
-"${build_dir}/bench/micro_gp" --benchmark_min_time=0.05 \
+# benchmark (BM_Cholesky/64) to cancel absolute machine speed. One pool
+# thread, as in the gate: cpu_time only counts the calling thread, so with
+# more threads BM_GpTrain would miss its parallel NLML restarts.
+MFBO_THREADS=1 "${build_dir}/bench/micro_gp" --benchmark_min_time=0.05 \
   --benchmark_out="${out_dir}/BENCH_micro_gp.json" \
   --benchmark_out_format=json
 
