@@ -16,8 +16,10 @@
 //                results and a telemetry metrics snapshot
 //   --spans      enable the hierarchical span profiler; the --out artifact
 //                gains a "spans" phase tree (timing-free under --no-timing)
-//   --trace FILE write a JSONL event trace (run_start/iteration/run_end)
-//                for tools/run_report.py; exits 2 on an unwritable path
+//   --trace FILE write a JSONL event trace for tools/run_report.py: one
+//                run_start/iteration.../run_end block per synthesis run,
+//                appended whole and in run order, so the file is the same
+//                at any thread count; exits 2 on an unwritable path
 //   --timeline FILE
 //                record every span open/close as Chrome/Perfetto
 //                trace-event JSON (load in chrome://tracing or ui.perfetto.
@@ -34,13 +36,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bo/common.h"
+#include "bo/de_baseline.h"
+#include "bo/gaspad.h"
+#include "bo/mfbo.h"
 #include "bo/result.h"
+#include "bo/weibo.h"
 #include "common/json.h"
 #include "common/memstats.h"
 #include "common/parallel.h"
@@ -61,9 +67,6 @@ struct BenchConfig {
   std::string out;       // artifact path; empty = no artifact
   std::string trace;     // JSONL trace path; empty = no trace
   std::string timeline;  // Perfetto trace-event path; empty = no timeline
-  // Keeps the installed trace sink alive for the whole bench run (the
-  // registry borrows it); copied along with the config.
-  std::shared_ptr<telemetry::TraceWriter> trace_writer;
 
   std::size_t runs(std::size_t quick_default, std::size_t full_default) const {
     if (runs_override > 0) return runs_override;
@@ -145,15 +148,13 @@ inline BenchConfig parseArgs(int argc, char** argv) {
       if (i + 1 >= argc) fail("missing value for", argv[i]);
       cfg.trace = argv[++i];
       if (cfg.trace.empty()) fail("--trace wants a file path, got", "");
-      try {
-        // Open (and truncate) up front: an unwritable path must be a
-        // startup error, not a warning after minutes of synthesis.
-        cfg.trace_writer =
-            std::make_shared<telemetry::TraceWriter>(cfg.trace);
-      } catch (const std::runtime_error&) {
+      // Open (and truncate) up front: an unwritable path must be a
+      // startup error, not a lost trace after minutes of synthesis. Runs
+      // append their blocks later (appendTrace).
+      std::FILE* trace = std::fopen(cfg.trace.c_str(), "w");
+      if (trace == nullptr)
         fail("--trace path is not writable:", cfg.trace.c_str());
-      }
-      telemetry::setTraceSink(cfg.trace_writer.get());
+      std::fclose(trace);
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
       if (i + 1 >= argc) fail("missing value for", argv[i]);
       cfg.timeline = argv[++i];
@@ -175,6 +176,81 @@ inline BenchConfig parseArgs(int argc, char** argv) {
     }
   }
   return cfg;
+}
+
+/// Write @p text to @p path with fopen @p mode ("w" truncates, "a"
+/// appends). Exits 1 when the open, the write or the close fails — a full
+/// disk often reports ENOSPC only when the buffer is flushed at close — so
+/// a bench never reports an output it failed to produce.
+inline void writeFileChecked(const std::string& path, const char* mode,
+                             const std::string& text, const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), mode);
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s '%s'\n", what, path.c_str());
+    std::exit(1);
+  }
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) ==
+                       text.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s '%s'\n", what, path.c_str());
+    std::exit(1);
+  }
+}
+
+/// Append whole run blocks to the --trace file; no-op without --trace.
+inline void appendTrace(const BenchConfig& cfg, const std::string& blocks) {
+  if (cfg.trace.empty() || blocks.empty()) return;
+  writeFileChecked(cfg.trace, "a", blocks, "trace file");
+}
+
+/// Algorithm tag and budget of each synthesizer, for its run_start event.
+inline std::pair<const char*, double> runIdentity(
+    const bo::MfboSynthesizer& s) {
+  return {"mfbo", s.options().budget};
+}
+inline std::pair<const char*, double> runIdentity(const bo::Weibo& s) {
+  return {"weibo", s.options().max_sims};
+}
+inline std::pair<const char*, double> runIdentity(const bo::Gaspad& s) {
+  return {"gaspad", s.options().max_sims};
+}
+inline std::pair<const char*, double> runIdentity(const bo::DeBaseline& s) {
+  return {"de", s.options().max_sims};
+}
+
+/// Run one synthesis. With --trace, a collecting observer is chained onto
+/// a copy of the synthesizer's options, after any observer already set
+/// there, and the run's JSONL block — run_start, one iteration line per
+/// observer call, run_end — is appended to @p slot when given (runRepeats
+/// buffers one per repeat), else straight to the --trace file. Without
+/// --trace the synthesizer runs as given.
+template <class Synthesizer>
+bo::SynthesisResult runTraced(const BenchConfig& cfg,
+                              const Synthesizer& synthesizer,
+                              bo::Problem& problem, std::uint64_t seed,
+                              std::string* slot = nullptr) {
+  if (cfg.trace.empty()) return synthesizer.run(problem, seed);
+  const auto [algo, budget] = runIdentity(synthesizer);
+  std::string block;
+  const auto append = [&block](const Json& event) {
+    block += event.dump();
+    block += '\n';
+  };
+  append(bo::runStartJson(algo, problem, seed, budget));
+  auto options = synthesizer.options();
+  options.observer = [&append, inner = options.observer](
+                         const bo::IterationRecord& record) {
+    if (inner) inner(record);
+    append(bo::iterationJson(record));
+  };
+  bo::SynthesisResult result =
+      Synthesizer(std::move(options)).run(problem, seed);
+  append(bo::runEndJson(algo, result));
+  if (slot != nullptr)
+    *slot += block;
+  else
+    appendTrace(cfg, block);
+  return result;
 }
 
 /// Cost (equivalent high-fidelity simulations) at which the final best
@@ -236,7 +312,11 @@ struct AlgoStats {
 /// in repeat order. Aggregates (including the order-sensitive median
 /// tracking) are therefore identical at any thread count. Per-run wall
 /// times are recorded unless --no-timing was given; the synthesis loops
-/// inside each repeat still run, nested, on their serial path.
+/// inside each repeat still run, nested, on their serial path. With
+/// --trace each repeat collects its block in its own slot, and the slots
+/// are appended in repeat order after the region, so the trace bytes do
+/// not depend on the thread count either. The slots exist only under
+/// --trace, so an untraced bench allocates nothing for them.
 template <class Synthesizer, class ProblemFactory>
 void runRepeats(AlgoStats& stats, const Synthesizer& synthesizer,
                 ProblemFactory make_problem, std::size_t runs,
@@ -247,12 +327,14 @@ void runRepeats(AlgoStats& stats, const Synthesizer& synthesizer,
     bo::SynthesisResult result;
     double seconds = 0.0;
   };
+  std::vector<std::string> traces(cfg.trace.empty() ? 0 : runs);
   std::vector<Repeat> repeats =
       parallel::parallelMap(runs, [&](std::size_t r) {
         auto problem = make_problem();
         const auto start = std::chrono::steady_clock::now();
         Repeat out;
-        out.result = synthesizer.run(problem, base_seed + r);
+        out.result = runTraced(cfg, synthesizer, problem, base_seed + r,
+                               traces.empty() ? nullptr : &traces[r]);
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - start;
         out.seconds = elapsed.count();
@@ -260,6 +342,9 @@ void runRepeats(AlgoStats& stats, const Synthesizer& synthesizer,
       });
   for (const Repeat& r : repeats)
     stats.add(r.result, cfg.timing ? r.seconds : 0.0);
+  std::string blocks;
+  for (const std::string& t : traces) blocks += t;
+  appendTrace(cfg, blocks);
 }
 
 /// Common artifact preamble: bench identity, mode, runs, seed.
@@ -274,23 +359,15 @@ inline Json artifactHeader(const BenchConfig& cfg, const std::string& bench,
 }
 
 /// Write @p doc (with a telemetry metrics snapshot appended) to the --out
-/// path. Exits with an error when the file cannot be written — a bench
-/// asked for an artifact it silently failed to produce would poison
+/// path. Exits 1 when the file cannot be written (writeFileChecked) — a
+/// bench asked for an artifact it silently failed to produce would poison
 /// downstream comparisons. No-op when --out was not given. Under
 /// --no-timing the snapshot omits its wall-clock sections, so the artifact
 /// bytes depend only on the seed, not the thread count.
 inline void writeArtifactFile(const BenchConfig& cfg, Json doc) {
   if (cfg.out.empty()) return;
   doc.set("metrics", telemetry::metricsSnapshot(cfg.timing));
-  std::FILE* f = std::fopen(cfg.out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open artifact file '%s'\n", cfg.out.c_str());
-    std::exit(1);
-  }
-  const std::string text = doc.dump();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  writeFileChecked(cfg.out, "w", doc.dump() + '\n', "artifact file");
   std::fprintf(stderr, "wrote artifact %s\n", cfg.out.c_str());
 }
 

@@ -66,15 +66,16 @@ struct Leg {
   double seconds = 0.0;
 };
 
-Leg runLeg(std::size_t batch_size, std::uint64_t seed, std::size_t threads,
-           int trials) {
+Leg runLeg(const bench::BenchConfig& cfg, std::size_t batch_size,
+           std::uint64_t seed, std::size_t threads, int trials) {
   parallel::setMaxThreads(threads);
   const bo::MfboSynthesizer synthesizer(fixtureOptions(batch_size));
   Leg leg;
   for (int trial = 0; trial < trials; ++trial) {
     auto problem = fixtureProblem();
     const auto start = std::chrono::steady_clock::now();
-    bo::SynthesisResult result = synthesizer.run(problem, seed);
+    bo::SynthesisResult result =
+        bench::runTraced(cfg, synthesizer, problem, seed);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     if (trial == 0 || elapsed.count() < leg.seconds)
@@ -114,8 +115,8 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   Json batches = Json::array();
   for (const std::size_t q : batch_sizes) {
-    const Leg serial = runLeg(q, cfg.seed, 1, trials);
-    const Leg pooled = runLeg(q, cfg.seed, threads, 1);
+    const Leg serial = runLeg(cfg, q, cfg.seed, 1, trials);
+    const Leg pooled = runLeg(cfg, q, cfg.seed, threads, 1);
     const bool identical = serial.bytes == pooled.bytes;
     all_identical = all_identical && identical;
 
@@ -174,16 +175,8 @@ int main(int argc, char** argv) {
     fixture.set("version", 1);
     fixture.set("checkpoint", mid);
     fixture.set("result", Json::parse(golden));
-    std::FILE* f = std::fopen(dump_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open fixture file '%s'\n",
-                   dump_path.c_str());
-      return 1;
-    }
-    const std::string text = fixture.dump();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
+    bench::writeFileChecked(dump_path, "w", fixture.dump() + '\n',
+                            "fixture file");
     std::fprintf(stderr, "wrote resume fixture %s\n", dump_path.c_str());
   }
 

@@ -452,7 +452,7 @@ void Engine::handleAwaitResults() {
 void Engine::handleObserve() {
   const IterationObserver& observer = observerRef();
   for (const ProposedSlot& slot : pending_) {
-    if (!iterationWanted(observer)) break;
+    if (!observer) break;
     const spans::ScopedSpan observe_span("observe");
     IterationRecord rec;
     rec.algo = algoName();
@@ -479,7 +479,7 @@ void Engine::handleObserve() {
       rec.best_objective = history_[*best].eval.objective;
       rec.feasible_found = history_[*best].eval.feasible();
     }
-    publishIteration(rec, observer);
+    observer(rec);
   }
   transition(EngineState::kFitSurrogate);
 }
@@ -509,7 +509,6 @@ void Engine::handleFitSurrogate() {
 
 void Engine::finish() {
   result_ = finalizeResult(std::move(history_), tracker_);
-  traceRunEnd(algoName(), result_);
   transition(EngineState::kDone);
 }
 
@@ -965,7 +964,6 @@ void MfboEngine::applyLiar(const ProposedSlot& slot) {
 }
 
 void MfboEngine::handleInit() {
-  traceRunStart("mfbo", *problem_, seed_, options_.budget);
   // Step 1 of Algorithm 1: initial designs at both fidelities.
   for (const Vector& u :
        linalg::latinHypercube(options_.n_init_low, unit_, rng_))
@@ -1121,8 +1119,8 @@ ProposedSlot MfboEngine::proposeSlot(std::size_t slot_index,
     downgrades_total.add();
   }
   // Journal the eq. (11)/(12) outcome: the fidelity schedule is the one
-  // decision an MF-BO operator audits over time, and the trace fields
-  // alone vanish when tracing is off.
+  // decision an MF-BO operator audits over time, and the iteration
+  // record alone vanishes when no observer is set.
   eventlog::record(eventlog::EventKind::kFidelityDecision,
                    f == Fidelity::kHigh ? "high" : "low",
                    downgraded ? "downgraded" : nullptr,
@@ -1148,7 +1146,7 @@ ProposedSlot MfboEngine::proposeSlot(std::size_t slot_index,
   // computes it on the real models during Observe, as the sequential loop
   // always has.) Reported in linear space; the log form is only the
   // search's ranking.
-  if (slot.on_fantasy && iterationWanted(options_.observer)) {
+  if (slot.on_fantasy && options_.observer) {
     const spans::ScopedSpan observe_span("observe");
     const auto p = highPredictions(models, slot.x);
     slot.acquisition =
@@ -1251,7 +1249,6 @@ std::vector<gp::Prediction> WeiboEngine::constraintPredictions(
 }
 
 void WeiboEngine::handleInit() {
-  traceRunStart("weibo", *problem_, seed_, options_.max_sims);
   for (const Vector& u : linalg::latinHypercube(initTotal(), unit_, rng_))
     evaluateRaw(u, Fidelity::kHigh);
   buildModels();

@@ -13,8 +13,8 @@
 //
 // Checkpoint contract: checkpoint() may be taken at any state boundary
 // (between step() calls). restore() on a freshly constructed engine
-// followed by run() yields a result and a trace-event suffix
-// byte-identical to the uninterrupted run at any thread count — the
+// followed by run() yields a result and an observed iteration-record
+// suffix byte-identical to the uninterrupted run at any thread count — the
 // crash/resume differential harness in tests/test_checkpoint.cpp enforces
 // this at every reachable boundary.
 //
@@ -111,8 +111,8 @@ class Engine {
   EngineState state() const { return state_; }
   bool done() const { return state_ == EngineState::kDone; }
 
-  /// Stable algorithm tag ("mfbo", "weibo"): names the run span, the trace
-  /// events, and the session-layer artifacts (src/service).
+  /// Stable algorithm tag ("mfbo", "weibo"): names the run span, the iteration
+  /// records, and the session-layer artifacts (src/service).
   const char* algo() const { return algoName(); }
 
   /// Health-layer progress accessors (src/service/health.h): evaluation

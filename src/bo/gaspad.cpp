@@ -41,7 +41,6 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
   const Box unit = Box::unitCube(d);
   Rng rng(seed);
   const spans::ScopedSpan run_span("gaspad");
-  traceRunStart("gaspad", problem, seed, options_.max_sims);
   telemetry::Counter& iterations_total =
       telemetry::counter("bo.gaspad.iterations");
   telemetry::Counter& children_total =
@@ -148,7 +147,7 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
     const bool retrain = options_.retrain_every <= 1 ||
                          iteration % options_.retrain_every == 0;
 
-    if (iterationWanted(options_.observer)) {
+    if (options_.observer) {
       const spans::ScopedSpan observe_span("observe");
       IterationRecord rec;
       rec.algo = "gaspad";
@@ -166,7 +165,7 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
         rec.best_objective = history[*best].eval.objective;
         rec.feasible_found = history[*best].eval.feasible();
       }
-      publishIteration(rec, options_.observer);
+      options_.observer(rec);
     }
 
     if (retrain) {
@@ -180,9 +179,7 @@ SynthesisResult Gaspad::run(Problem& problem, std::uint64_t seed) const {
     }
   }
 
-  SynthesisResult result = finalizeResult(std::move(history), tracker);
-  traceRunEnd("gaspad", result);
-  return result;
+  return finalizeResult(std::move(history), tracker);
 }
 
 }  // namespace mfbo::bo

@@ -58,7 +58,7 @@ struct MfboOptions {
   SurrogateFactory surrogate_factory;
   /// Optional per-iteration progress callback (live streaming, --verbose).
   /// Invoked after each loop iteration's evaluation with the full
-  /// fidelity-decision record; independent of the telemetry trace sink.
+  /// fidelity-decision record — the one channel for iteration events.
   IterationObserver observer;
 };
 
@@ -71,8 +71,8 @@ class MfboSynthesizer {
 
   /// Resume a run from an Engine::checkpoint() document and drive it to
   /// completion. With the same problem and options, the result and the
-  /// emitted trace-event suffix are byte-identical to the uninterrupted
-  /// run's.
+  /// observed iteration-record suffix are byte-identical to the
+  /// uninterrupted run's.
   SynthesisResult resume(Problem& problem, const Json& checkpoint) const;
 
   /// Build the underlying state machine for stepwise driving (the

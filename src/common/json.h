@@ -1,7 +1,7 @@
 // mfbo — minimal ordered JSON value, built for the telemetry layer.
 //
 // The library emits machine-readable artifacts in two places: the JSONL
-// event trace (telemetry::TraceWriter) and the bench `--out` aggregate
+// event trace (bench `--trace` files) and the bench `--out` aggregate
 // files that CI archives as the perf trajectory. Both need deterministic
 // serialization (stable key order, stable number formatting) so that two
 // runs with the same seed produce byte-identical output — a property the

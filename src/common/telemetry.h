@@ -1,10 +1,9 @@
-// mfbo — telemetry: scoped metrics registries and structured tracing.
+// mfbo — telemetry: scoped counter registries and a latency histogram.
 //
-// The BO loop makes every interesting decision silently — the eq. (11)/(12)
-// fidelity choice, MSP restart outcomes, first-feasible switching, Cholesky
-// jitter retries — which makes table-level discrepancies against the paper
-// impossible to diagnose without a debugger. This header provides the two
-// observability primitives the rest of the library hooks into:
+// The BO loop makes many decisions silently — MSP restart outcomes,
+// first-feasible switching, Cholesky jitter retries, incremental versus
+// retrained surrogate updates. This header provides the two primitives
+// that count them:
 //
 //   * Metrics — always-on named monotonic Counters in a MetricsRegistry
 //     (scopes are timed by the span profiler, common/spans.h). There is one
@@ -19,35 +18,24 @@
 //     active registry for the bench `--out` artifacts; `resetMetrics()`
 //     zeroes its values (references stay valid).
 //
-//   * Tracing — structured events (JSON objects) routed to an installable
-//     TraceSink. The default sink is null: `traceEnabled()` is a single
-//     pointer test, and every emission site guards event construction behind
-//     it, so an untraced run does no formatting work and produces no output.
-//     TraceWriter is the JSONL file sink (one event per line, flushed);
-//     CollectingTraceSink buffers events in memory for tests and embedders.
+//   * Histogram — a plain value type, not a registry metric: a Session
+//     owns one, fed by its step span, for the health snapshot.
 //
-// Histogram is a plain value type, not a registry metric: a Session owns
-// one, fed by its step span, for the health snapshot.
+// Per-iteration events (the eq. (11)/(12) fidelity decision) are not
+// telemetry: they go to the run's own bo::IterationObserver, and
+// bo::iterationJson serializes them (bo/common.h).
 //
-// The metrics side is thread-safe: instrumented sites run inside the
+// Everything here is thread-safe: instrumented sites run inside the
 // deterministic parallel regions of common/parallel.h, so counter updates
 // and histogram records are relaxed atomics, and registry lookups are
-// mutex-protected (references stay stable and valid forever). Trace sinks
-// remain single-writer by contract — events are emitted only from the
-// serial sections of the synthesis loops — except TraceWriter, which locks
-// per line so embedders tracing from their own threads get whole-line
-// interleaving.
+// mutex-protected (references stay stable and valid forever).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/json.h"
 
@@ -202,83 +190,6 @@ Json metricsSnapshot(bool include_timing = true);
 
 /// Zero every counter in the active registry (references stay valid).
 void resetMetrics();
-
-/// Destination for structured trace events.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void write(const Json& event) = 0;
-};
-
-/// JSONL file sink: one compact JSON object per line, flushed per event so
-/// a crashed run still leaves a readable trace prefix. write() locks per
-/// event, so concurrent writers interleave whole lines, never fragments.
-/// Write failures (ENOSPC, closed pipe, ...) are not silent: a failed event
-/// bumps the "telemetry.trace_write_errors" counter and the first failure
-/// per writer prints one stderr warning; eventsWritten() counts only events
-/// that reached the stream in full.
-class TraceWriter final : public TraceSink {
- public:
-  /// Opens (truncates) @p path; throws std::runtime_error on failure.
-  explicit TraceWriter(const std::string& path);
-  /// Adopts an already-open stream (not closed on destruction); used to
-  /// trace to stderr or a pipe.
-  explicit TraceWriter(std::FILE* stream);
-  ~TraceWriter() override;
-  TraceWriter(const TraceWriter&) = delete;
-  TraceWriter& operator=(const TraceWriter&) = delete;
-
-  void write(const Json& event) override;
-  /// Events fully written and flushed to the stream.
-  std::uint64_t eventsWritten() const;
-  /// Events dropped (partially written or unflushed) because the stream
-  /// reported an error.
-  std::uint64_t writeErrors() const;
-
- private:
-  mutable std::mutex mu_;
-  std::FILE* stream_ = nullptr;
-  bool owns_stream_ = false;
-  bool warned_ = false;
-  std::uint64_t events_written_ = 0;
-  std::uint64_t write_errors_ = 0;
-};
-
-/// In-memory sink for tests and embedders that post-process events.
-/// Single-writer by the trace-emission contract (events come from the
-/// serial sections of the synthesis loops, never from parallel workers).
-class CollectingTraceSink final : public TraceSink {
- public:
-  void write(const Json& event) override { events.push_back(event); }
-  std::vector<Json> events;
-};
-
-/// Install (or, with nullptr, remove) the process-wide trace sink. The sink
-/// is borrowed, not owned; the caller keeps it alive while installed.
-void setTraceSink(TraceSink* sink);
-TraceSink* traceSink();
-
-/// True when a sink is installed. Emission sites use this to skip event
-/// construction entirely on untraced runs.
-bool traceEnabled();
-
-/// Route an event to the installed sink; no-op without one.
-void emitTrace(const Json& event);
-
-/// RAII sink installation for scoped tracing (tests, bench runs): installs
-/// @p sink on construction, restores the previous sink on destruction.
-class ScopedTraceSink {
- public:
-  explicit ScopedTraceSink(TraceSink* sink) : previous_(traceSink()) {
-    setTraceSink(sink);
-  }
-  ScopedTraceSink(const ScopedTraceSink&) = delete;
-  ScopedTraceSink& operator=(const ScopedTraceSink&) = delete;
-  ~ScopedTraceSink() { setTraceSink(previous_); }
-
- private:
-  TraceSink* previous_;
-};
 
 }  // namespace telemetry
 }  // namespace mfbo

@@ -43,7 +43,7 @@ void NargpModel::fit(std::vector<Vector> x_low, std::vector<double> y_low,
   }
   x_high_ = std::move(x_high);
   y_high_ = std::move(y_high);
-  rebuildHigh(/*retrain=*/true);
+  rebuildHigh();
 }
 
 void NargpModel::addLow(const Vector& x, double y, bool retrain) {
@@ -54,7 +54,7 @@ void NargpModel::addLow(const Vector& x, double y, bool retrain) {
   if (retrain) {
     // µ_l moved everywhere, so the high-fidelity augmented inputs are
     // refreshed along with the hyperparameters.
-    rebuildHigh(/*retrain=*/true);
+    rebuildHigh();
     return;
   }
   // Non-retrain fast path: the high GP keeps the µ_l augmentation from
@@ -75,7 +75,7 @@ void NargpModel::addHigh(const Vector& x, double y, bool retrain) {
   x_high_.push_back(x);
   y_high_.push_back(y);
   if (retrain || !high_gp_.fitted()) {
-    rebuildHigh(/*retrain=*/true);
+    rebuildHigh();
     return;
   }
   // Non-retrain fast path: existing rows keep their frozen augmentation;
@@ -89,17 +89,13 @@ void NargpModel::addHigh(const Vector& x, double y, bool retrain) {
                     /*retrain=*/false);
 }
 
-void NargpModel::rebuildHigh(bool retrain) {
+void NargpModel::rebuildHigh() {
   const spans::ScopedSpan fit_high_span("fit_high");
   std::vector<Vector> z;
   z.reserve(x_high_.size());
   for (const Vector& x : x_high_)
     z.push_back(augment(x, low_gp_.predict(x).mean));
-  if (retrain || !high_gp_.fitted()) {
-    high_gp_.fit(std::move(z), y_high_);
-  } else {
-    high_gp_.setData(std::move(z), y_high_);
-  }
+  high_gp_.fit(std::move(z), y_high_);
   refreshMcDraws();
 }
 
@@ -147,29 +143,22 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
   // time) through the high-fidelity posterior. The loop is serial: the MSP
   // search already calls predictHigh from inside its own parallel region,
   // and one call is far too short to pay for a pool fan-out.
-  Vector sample_mean(config_.n_mc);
-  Vector sample_var(n_var);
+  // The three sums of the law of total variance accumulate in sample order.
+  double mean_acc = 0.0, mean_sq_acc = 0.0, var_acc = 0.0;
   Vector ks(n);  // scratch, one per call
   for (std::size_t i = 0; i < config_.n_mc; ++i) {
     const double yl = low.mean + low_sd * mc_draws_[i];
     for (std::size_t t = 0; t < n; ++t)
       ks[t] = kernel.k1Scalar(yl, z_train[t][yl_index]) * c2[t] + c3[t];
-    const double mu_z = dot(ks, alpha);
-    sample_mean[i] = std_out.unapply(mu_z);
+    const double sample_mean = std_out.unapply(dot(ks, alpha));
+    mean_acc += sample_mean;
+    mean_sq_acc += sample_mean * sample_mean;
     if (i < n_var) {
       const Vector v = chol.solveLower(ks);
       const double var_z = std::max(sn2 + k_self - v.squaredNorm(), 1e-12);
-      sample_var[i] = std_out.unapplyVariance(var_z);
+      var_acc += std_out.unapplyVariance(var_z);
     }
   }
-
-  // Mean and variance by the law of total variance.
-  double mean_acc = 0.0, mean_sq_acc = 0.0, var_acc = 0.0;
-  for (std::size_t i = 0; i < config_.n_mc; ++i) {
-    mean_acc += sample_mean[i];
-    mean_sq_acc += sample_mean[i] * sample_mean[i];
-  }
-  for (std::size_t i = 0; i < n_var; ++i) var_acc += sample_var[i];
   const double inv_n = 1.0 / static_cast<double>(config_.n_mc);
   const double mean = mean_acc * inv_n;
   const double within = var_acc / static_cast<double>(n_var);  // E[σ²]

@@ -62,12 +62,12 @@ class NargpModel final : public MfSurrogate {
 
  private:
   /// Re-augment the high-fidelity inputs with the current µ_l and retrain
-  /// (or just rebuild) the high-fidelity GP, then draw fresh eq. (10) MC
-  /// common random numbers. addLow/addHigh with retrain=false skip this
+  /// the high-fidelity GP, then draw fresh eq. (10) MC common random
+  /// numbers. addLow/addHigh with retrain=false skip this
   /// entirely: existing rows keep the augmentation frozen at the last
   /// retrain (LinEasyBO-style), new high rows append incrementally in
   /// O(n²), and the MC draws are reused.
-  void rebuildHigh(bool retrain);
+  void rebuildHigh();
   /// Draw a fresh set of common random numbers for the MC integration.
   void refreshMcDraws();
 

@@ -1,5 +1,6 @@
 // Tests for the bench-harness helpers: bestHighIndex / costToReachBest
-// edge cases, the hardened argument parser, and the --out JSON artifact.
+// edge cases, the hardened argument parser, the checked --out artifact
+// write, and the per-run --trace blocks of runRepeats.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,9 +10,12 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bo/mfbo.h"
 #include "bo/result.h"
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/timeline.h"
+#include "problems/synthetic.h"
 
 namespace {
 
@@ -26,6 +30,13 @@ bo::HistoryEntry entry(double objective, std::vector<double> constraints,
   h.fidelity = fidelity;
   h.cumulative_cost = cost;
   return h;
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 // --- bestHighIndex ------------------------------------------------------
@@ -215,17 +226,14 @@ TEST(ParseArgs, SpansFlagEnablesProfiler) {
   spans::reset();
 }
 
-TEST(ParseArgs, TraceFlagOpensWriterAndInstallsSink) {
+TEST(ParseArgs, TraceFlagTruncatesFileUpFront) {
   const std::string path = "test_bench_trace.jsonl";
-  {
-    const bench::BenchConfig cfg = parse({"--trace", path});
-    EXPECT_EQ(cfg.trace, path);
-    ASSERT_NE(cfg.trace_writer, nullptr);
-    EXPECT_EQ(telemetry::traceSink(), cfg.trace_writer.get());
-    telemetry::setTraceSink(nullptr);  // before the writer is destroyed
-  }
+  std::ofstream(path) << "stale line\n";
+  const bench::BenchConfig cfg = parse({"--trace", path});
+  EXPECT_EQ(cfg.trace, path);
   std::ifstream in(path);
-  EXPECT_TRUE(in.good());  // the file was created (and truncated) up front
+  EXPECT_TRUE(in.good());  // the file exists ...
+  EXPECT_EQ(readFile(path), "");  // ... and was truncated before any run
   std::remove(path.c_str());
 }
 
@@ -320,11 +328,87 @@ TEST(Artifact, WriteAndParseRoundTrip) {
   std::remove(cfg.out.c_str());
 }
 
+TEST(ArtifactDeath, FullDiskExitsOne) {
+  // /dev/full accepts the open and fails the flush with ENOSPC — the
+  // canonical disk-full simulation. Neither the artifact nor a trace block
+  // may be reported as written.
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  bench::BenchConfig cfg;
+  cfg.out = "/dev/full";
+  EXPECT_EXIT(bench::writeArtifactFile(cfg, Json::object()),
+              ::testing::ExitedWithCode(1), "cannot write artifact file");
+  cfg.trace = "/dev/full";
+  EXPECT_EXIT(bench::appendTrace(cfg, "{\"type\":\"run_start\"}\n"),
+              ::testing::ExitedWithCode(1), "cannot write trace file");
+}
+
 TEST(Artifact, NoOutPathIsNoOp) {
   bench::BenchConfig cfg;  // out empty
   bench::AlgoStats a{"alpha"};
   bench::writeArtifact(cfg, "test_bench", 0, {&a});  // must not exit/write
   SUCCEED();
+}
+
+// --- runRepeats --trace -------------------------------------------------
+
+bo::MfboOptions tinyMfbo() {
+  bo::MfboOptions o;
+  o.n_init_low = 6;
+  o.n_init_high = 3;
+  o.budget = 6.0;
+  o.msp.n_starts = 4;
+  o.msp.local.max_evaluations = 30;
+  o.nargp.n_mc = 10;
+  o.nargp.low.n_restarts = 1;
+  o.nargp.high.n_restarts = 1;
+  return o;
+}
+
+/// The --trace file of three tiny MFBO repeats run through runRepeats at
+/// @p threads, as a bench binary given `--trace FILE --threads N` writes it.
+std::string repeatsTrace(const char* threads) {
+  const std::string path = "test_bench_repeats_trace.jsonl";
+  const bench::BenchConfig cfg =
+      parse({"--trace", path, "--threads", threads, "--seed", "5"});
+  bench::AlgoStats stats{"mfbo"};
+  bench::runRepeats(stats, bo::MfboSynthesizer(tinyMfbo()),
+                    [] { return problems::ForresterProblem(); }, 3, cfg);
+  parallel::setMaxThreads(0);
+  const std::string text = readFile(path);
+  std::remove(path.c_str());
+  return text;
+}
+
+TEST(RunRepeatsTrace, EachRunIsOneBlockAndBytesMatchAcrossThreadCounts) {
+  const std::string pooled = repeatsTrace("4");
+  std::istringstream lines(pooled);
+  std::string line;
+  std::vector<double> seeds;
+  bool in_run = false;
+  double next_iter = 0.0;
+  while (std::getline(lines, line)) {
+    const Json event = Json::parse(line);
+    const std::string& type = event.at("type").asString();
+    if (type == "run_start") {
+      ASSERT_FALSE(in_run) << "run_start inside another run's block";
+      in_run = true;
+      next_iter = 1.0;
+      seeds.push_back(event.at("seed").asNumber());
+    } else if (type == "iteration") {
+      ASSERT_TRUE(in_run) << "iteration outside a run block";
+      // Only this run's iterations, numbered 1..k without gaps.
+      EXPECT_EQ(event.at("iter").asNumber(), next_iter);
+      next_iter += 1.0;
+    } else {
+      ASSERT_EQ(type, "run_end");
+      ASSERT_TRUE(in_run) << "run_end without its run_start";
+      EXPECT_GT(next_iter, 1.0) << "run block without iterations";
+      in_run = false;
+    }
+  }
+  EXPECT_FALSE(in_run) << "last run block not closed";
+  EXPECT_EQ(seeds, (std::vector<double>{5.0, 6.0, 7.0}));
+  EXPECT_EQ(pooled, repeatsTrace("1")) << "trace bytes depend on threads";
 }
 
 }  // namespace

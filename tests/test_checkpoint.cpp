@@ -1,9 +1,9 @@
 // Crash/resume differential harness for the engine checkpoint contract:
 // kill the optimizer at EVERY reachable state boundary, restore the
 // checkpoint into a fresh engine, drive it to completion, and require the
-// final result and the trace-event *suffix* to be byte-identical to the
-// uninterrupted run — serial and at 4 threads, for MFBO (q ∈ {1, 2, 4})
-// and WEIBO. Plus the corruption battery: truncation, version/format/algo
+// final result and the suffix of observed iteration records to be
+// byte-identical to the uninterrupted run — serial and at 4 threads, for
+// MFBO (q ∈ {1, 2, 4}) and WEIBO. Plus the corruption battery: truncation, version/format/algo
 // drift, missing and extra keys, non-finite payloads, tampered history,
 // hyperparameter-stamp drift — every one a typed rejection, never a
 // silently different run.
@@ -25,7 +25,6 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "common/parallel.h"
-#include "common/telemetry.h"
 #include "mf/nargp.h"
 #include "problems/synthetic.h"
 #include "service/session_manager.h"
@@ -80,11 +79,21 @@ problems::ConstrainedQuadraticProblem tinyProblem() {
   return problems::ConstrainedQuadraticProblem(2);
 }
 
+/// @p options with an observer collecting each iteration record's JSONL
+/// line (bo::iterationJson) into @p events.
+template <typename Options>
+Options observed(Options options, std::vector<std::string>& events) {
+  options.observer = [&events](const bo::IterationRecord& record) {
+    events.push_back(bo::iterationJson(record).dump());
+  };
+  return options;
+}
+
 /// Uninterrupted reference run, with a checkpoint and a trace-position mark
 /// taken at every state boundary along the way.
 struct ReferenceRun {
   std::vector<Json> checkpoints;           ///< one per boundary
-  std::vector<std::size_t> trace_marks;    ///< events emitted before it
+  std::vector<std::size_t> trace_marks;    ///< events observed before it
   std::vector<std::string> events;         ///< full trace, one dump per event
   std::string result;                      ///< final result JSON bytes
 };
@@ -92,17 +101,14 @@ struct ReferenceRun {
 template <typename Engine, typename Options>
 ReferenceRun referenceRun(const Options& options, std::uint64_t seed) {
   auto problem = tinyProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  Engine engine(problem, seed, options);
   ReferenceRun out;
+  Engine engine(problem, seed, observed(options, out.events));
   while (!engine.done()) {
     out.checkpoints.push_back(engine.checkpoint());
-    out.trace_marks.push_back(sink.events.size());
+    out.trace_marks.push_back(out.events.size());
     engine.step();
   }
   out.result = bo::synthesisResultToJson(engine.takeResult()).dump();
-  for (const Json& event : sink.events) out.events.push_back(event.dump());
   return out;
 }
 
@@ -112,14 +118,11 @@ template <typename Engine, typename Options>
 std::pair<std::string, std::vector<std::string>> resumedRun(
     const Options& options, const Json& ckpt) {
   auto problem = tinyProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  Engine engine(problem, 0, options);
+  std::vector<std::string> events;
+  Engine engine(problem, 0, observed(options, events));
   engine.restore(ckpt);
   const std::string result =
       bo::synthesisResultToJson(engine.run()).dump();
-  std::vector<std::string> events;
-  for (const Json& event : sink.events) events.push_back(event.dump());
   return {result, events};
 }
 

@@ -179,19 +179,17 @@ bo::MfboOptions smallMfboOptions() {
   return opt;
 }
 
-/// One traced synthesis run: returns the result plus the full trace,
-/// serialized to the exact bytes a JSONL TraceWriter would emit.
+/// One traced synthesis run: returns the result plus the JSONL bytes of
+/// every iteration record its observer saw (bo::iterationJson lines).
 std::pair<bo::SynthesisResult, std::string> tracedRun(std::uint64_t seed) {
   problems::ConstrainedQuadraticProblem problem(2);
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  bo::SynthesisResult result =
-      bo::MfboSynthesizer(smallMfboOptions()).run(problem, seed);
   std::string trace;
-  for (const Json& event : sink.events) {
-    trace += event.dump();
+  bo::MfboOptions options = smallMfboOptions();
+  options.observer = [&trace](const bo::IterationRecord& record) {
+    trace += bo::iterationJson(record).dump();
     trace += '\n';
-  }
+  };
+  bo::SynthesisResult result = bo::MfboSynthesizer(options).run(problem, seed);
   return {std::move(result), std::move(trace)};
 }
 

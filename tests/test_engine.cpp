@@ -66,7 +66,18 @@ problems::ConstrainedQuadraticProblem quickProblem() {
   return problems::ConstrainedQuadraticProblem(2);
 }
 
-/// Result + the exact JSONL trace bytes the run emitted.
+/// @p options with an observer appending each iteration record's JSONL
+/// line (bo::iterationJson) to @p trace.
+template <typename Options>
+Options observed(Options options, std::string& trace) {
+  options.observer = [&trace](const bo::IterationRecord& record) {
+    trace += bo::iterationJson(record).dump();
+    trace += '\n';
+  };
+  return options;
+}
+
+/// Result + the exact JSONL iteration lines the run's observer saw.
 struct RunArtifacts {
   std::string result;
   std::string trace;
@@ -75,15 +86,11 @@ struct RunArtifacts {
 template <typename Synthesizer>
 RunArtifacts tracedRun(const Synthesizer& synthesizer, std::uint64_t seed) {
   auto problem = quickProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  const bo::SynthesisResult result = synthesizer.run(problem, seed);
   RunArtifacts out;
+  const bo::SynthesisResult result =
+      Synthesizer(observed(synthesizer.options(), out.trace))
+          .run(problem, seed);
   out.result = bo::synthesisResultToJson(result).dump();
-  for (const Json& event : sink.events) {
-    out.trace += event.dump();
-    out.trace += '\n';
-  }
   return out;
 }
 
@@ -201,16 +208,10 @@ TEST(EngineMachine, ManualSteppingMatchesRun) {
   };
   const auto via_steps = [] {
     auto problem = quickProblem();
-    telemetry::CollectingTraceSink sink;
-    const telemetry::ScopedTraceSink scope(&sink);
-    bo::MfboEngine engine(problem, 3, quickMfboOptions());
-    while (!engine.done()) engine.step();
     RunArtifacts out;
+    bo::MfboEngine engine(problem, 3, observed(quickMfboOptions(), out.trace));
+    while (!engine.done()) engine.step();
     out.result = bo::synthesisResultToJson(engine.takeResult()).dump();
-    for (const Json& event : sink.events) {
-      out.trace += event.dump();
-      out.trace += '\n';
-    }
     return out;
   };
   const RunArtifacts a = withThreads(1, via_run);
@@ -224,8 +225,6 @@ TEST(EngineMachine, MakeEngineDrivesTheSameRunAsTheSynthesizer) {
   const RunArtifacts direct = tracedRun(synthesizer, 5);
 
   auto problem = quickProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
   const bo::SynthesisResult result =
       synthesizer.makeEngine(problem, 5)->run();
   EXPECT_EQ(direct.result, bo::synthesisResultToJson(result).dump());
@@ -357,16 +356,15 @@ TEST(EngineBatch, IterationRecordsCountEverySlot) {
   // q=3 must publish one iteration record per slot, numbered 1..n without
   // gaps, and fantasy slots must carry a finite acquisition value.
   auto problem = quickProblem();
-  telemetry::CollectingTraceSink sink;
-  const telemetry::ScopedTraceSink scope(&sink);
-  bo::MfboSynthesizer(quickMfboOptions(3)).run(problem, 3);
-  std::vector<double> iterations;
-  for (const Json& event : sink.events)
-    if (event.at("type").asString() == "iteration")
-      iterations.push_back(event.at("iter").asNumber());
+  bo::MfboOptions opt = quickMfboOptions(3);
+  std::vector<std::size_t> iterations;
+  opt.observer = [&](const bo::IterationRecord& record) {
+    iterations.push_back(record.iteration);
+  };
+  bo::MfboSynthesizer(opt).run(problem, 3);
   ASSERT_FALSE(iterations.empty());
   for (std::size_t i = 0; i < iterations.size(); ++i)
-    EXPECT_EQ(iterations[i], static_cast<double>(i + 1));
+    EXPECT_EQ(iterations[i], i + 1);
 }
 
 // --- thread-count invariance ---------------------------------------------

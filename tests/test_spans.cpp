@@ -374,9 +374,8 @@ void validateSpanNode(const Json& node, bool timing) {
 TEST(SpanGoldenSchema, MetricsSnapshotAndTraceKeysDoNotDrift) {
   spans::reset();
   spans::setEnabled(true);
-  telemetry::CollectingTraceSink sink;
+  std::vector<Json> events;
   {
-    const telemetry::ScopedTraceSink scoped(&sink);
     problems::ConstrainedQuadraticProblem problem(2);
     bo::MfboOptions options;
     options.budget = 6.0;
@@ -386,26 +385,30 @@ TEST(SpanGoldenSchema, MetricsSnapshotAndTraceKeysDoNotDrift) {
     options.msp.n_starts = 2;
     options.msp.local.max_evaluations = 30;
     options.gamma = 0.1;
+    events.push_back(bo::runStartJson("mfbo", problem, 11, options.budget));
+    options.observer = [&events](const bo::IterationRecord& r) {
+      events.push_back(bo::iterationJson(r));
+    };
     const bo::MfboSynthesizer synthesizer(options);
-    (void)synthesizer.run(problem, 11);
+    events.push_back(bo::runEndJson("mfbo", synthesizer.run(problem, 11)));
   }
 
   // Trace: first event is run_start, last is run_end, the middle ones are
   // iterations carrying the fidelity-decision fields the report plots.
-  ASSERT_GE(sink.events.size(), 3u);
-  const Json& start = sink.events.front();
+  ASSERT_GE(events.size(), 3u);
+  const Json& start = events.front();
   EXPECT_EQ(start.at("type").asString(), "run_start");
   for (const char* key : {"algo", "problem", "dim", "num_constraints",
                           "cost_ratio", "budget", "seed"})
     EXPECT_TRUE(start.contains(key)) << "run_start lost key: " << key;
-  const Json& iter = sink.events[1];
+  const Json& iter = events[1];
   EXPECT_EQ(iter.at("type").asString(), "iteration");
   for (const char* key :
        {"algo", "iter", "fidelity", "acq", "tau_l", "tau_h", "max_norm_var",
         "threshold", "norm_low_var", "x", "objective", "feasible",
         "best_objective", "feasible_found", "cost"})
     EXPECT_TRUE(iter.contains(key)) << "iteration lost key: " << key;
-  const Json& end = sink.events.back();
+  const Json& end = events.back();
   EXPECT_EQ(end.at("type").asString(), "run_end");
   for (const char* key : {"algo", "best_objective", "feasible_found",
                           "n_low", "n_high", "equivalent_high_sims"})

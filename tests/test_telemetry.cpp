@@ -1,13 +1,11 @@
 // Tests for the telemetry subsystem: the Json value type, the metrics
-// registry, and the trace-sink plumbing — including the end-to-end
-// guarantees the benches rely on: one `iteration` event per synthesis-loop
-// iteration, byte-identical traces across same-seed runs, and zero output
-// (and unchanged results) when no sink is installed.
+// registry, and the iteration-event builders of bo/common.h — including
+// the end-to-end guarantees the bench traces rely on: one `iteration`
+// event per synthesis-loop iteration, byte-identical traces across
+// same-seed runs, and unchanged results when an observer is set.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -182,22 +180,7 @@ TEST(MetricsScope, FunctionLocalHandlesFollowTheScope) {
   EXPECT_EQ(b.counter("test.scope.handle").value(), 2u);
 }
 
-// --- Trace sinks --------------------------------------------------------
-
-TEST(Trace, DisabledByDefaultAndScopedInstall) {
-  EXPECT_FALSE(telemetry::traceEnabled());
-  telemetry::CollectingTraceSink sink;
-  {
-    telemetry::ScopedTraceSink scope(&sink);
-    EXPECT_TRUE(telemetry::traceEnabled());
-    Json e = Json::object();
-    e.set("type", "test");
-    telemetry::emitTrace(e);
-  }
-  EXPECT_FALSE(telemetry::traceEnabled());
-  ASSERT_EQ(sink.events.size(), 1u);
-  EXPECT_EQ(sink.events[0].at("type").asString(), "test");
-}
+// --- Iteration events ---------------------------------------------------
 
 bo::MfboOptions tinyMfbo() {
   bo::MfboOptions o;
@@ -212,10 +195,25 @@ bo::MfboOptions tinyMfbo() {
   return o;
 }
 
+/// The run's JSONL trace as a bench writes it: run_start, one
+/// bo::iterationJson line per observer call, run_end.
+std::string jsonlTrace(bo::MfboOptions options, std::uint64_t seed) {
+  problems::ForresterProblem problem;
+  std::string trace =
+      bo::runStartJson("mfbo", problem, seed, options.budget).dump() + '\n';
+  options.observer = [&trace](const bo::IterationRecord& r) {
+    trace += bo::iterationJson(r).dump() + '\n';
+  };
+  const bo::SynthesisResult result =
+      bo::MfboSynthesizer(options).run(problem, seed);
+  return trace + bo::runEndJson("mfbo", result).dump() + '\n';
+}
+
 TEST(Trace, MfboEmitsOneIterationEventPerLoopIteration) {
   problems::ForresterProblem problem;
   bo::MfboOptions options = tinyMfbo();
   std::size_t observer_calls = 0;
+  std::vector<Json> events;
   options.observer = [&](const bo::IterationRecord& r) {
     ++observer_calls;
     EXPECT_EQ(r.algo, "mfbo");
@@ -224,153 +222,68 @@ TEST(Trace, MfboEmitsOneIterationEventPerLoopIteration) {
     ASSERT_NE(r.eval, nullptr);
     EXPECT_TRUE(std::isfinite(r.max_norm_var));
     EXPECT_TRUE(std::isfinite(r.threshold));
+    events.push_back(bo::iterationJson(r));
   };
-
-  telemetry::CollectingTraceSink sink;
-  telemetry::ScopedTraceSink scope(&sink);
-  bo::MfboSynthesizer(options).run(problem, 3);
+  const bo::SynthesisResult result =
+      bo::MfboSynthesizer(options).run(problem, 3);
 
   ASSERT_GT(observer_calls, 0u);
-  std::size_t iteration_events = 0, run_starts = 0, run_ends = 0;
-  for (const Json& e : sink.events) {
-    const std::string& type = e.at("type").asString();
-    if (type == "iteration") {
-      ++iteration_events;
-      EXPECT_EQ(e.at("algo").asString(), "mfbo");
-      for (const char* key :
-           {"iter", "fidelity", "max_norm_var", "threshold", "norm_low_var",
-            "x_star_l", "x", "objective", "best_objective", "cost"})
-        EXPECT_TRUE(e.contains(key)) << "missing key " << key;
-    } else if (type == "run_start") {
-      ++run_starts;
-      EXPECT_EQ(e.at("problem").asString(), "forrester");
-    } else if (type == "run_end") {
-      ++run_ends;
-      EXPECT_TRUE(e.contains("best_objective"));
-    }
+  ASSERT_EQ(events.size(), observer_calls);
+  for (const Json& e : events) {
+    EXPECT_EQ(e.at("type").asString(), "iteration");
+    EXPECT_EQ(e.at("algo").asString(), "mfbo");
+    for (const char* key :
+         {"iter", "fidelity", "max_norm_var", "threshold", "norm_low_var",
+          "x_star_l", "x", "objective", "best_objective", "cost"})
+      EXPECT_TRUE(e.contains(key)) << "missing key " << key;
   }
-  EXPECT_EQ(iteration_events, observer_calls);
-  EXPECT_EQ(run_starts, 1u);
-  EXPECT_EQ(run_ends, 1u);
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+  const Json start = bo::runStartJson("mfbo", problem, 3, options.budget);
+  EXPECT_EQ(start.at("type").asString(), "run_start");
+  EXPECT_EQ(start.at("problem").asString(), "forrester");
+  EXPECT_EQ(start.at("seed").asNumber(), 3.0);
+  const Json end = bo::runEndJson("mfbo", result);
+  EXPECT_EQ(end.at("type").asString(), "run_end");
+  EXPECT_EQ(end.at("best_objective").asNumber(), result.best_eval.objective);
 }
 
 TEST(Trace, SameSeedRunsProduceByteIdenticalJsonl) {
-  problems::ForresterProblem problem;
-  const bo::MfboOptions options = tinyMfbo();
-  const std::string path1 = "test_telemetry_trace1.jsonl";
-  const std::string path2 = "test_telemetry_trace2.jsonl";
-
-  for (const std::string& path : {path1, path2}) {
-    telemetry::TraceWriter writer(path);
-    telemetry::ScopedTraceSink scope(&writer);
-    bo::MfboSynthesizer(options).run(problem, 11);
-    EXPECT_GT(writer.eventsWritten(), 2u);
-  }
-
-  const std::string trace1 = readFile(path1);
-  const std::string trace2 = readFile(path2);
+  const std::string trace1 = jsonlTrace(tinyMfbo(), 11);
+  const std::string trace2 = jsonlTrace(tinyMfbo(), 11);
   ASSERT_FALSE(trace1.empty());
   EXPECT_EQ(trace1, trace2);
 
   // Every line is a standalone JSON object.
   std::istringstream lines(trace1);
   std::string line;
+  std::size_t n_lines = 0;
   while (std::getline(lines, line)) {
     const Json e = Json::parse(line);
     EXPECT_TRUE(e.isObject());
     EXPECT_TRUE(e.contains("type"));
+    ++n_lines;
   }
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
+  EXPECT_GT(n_lines, 2u);
 }
 
 TEST(Trace, TracingDoesNotPerturbResults) {
   problems::ForresterProblem problem;
-  const bo::MfboOptions options = tinyMfbo();
+  bo::MfboOptions options = tinyMfbo();
 
   const bo::SynthesisResult plain =
       bo::MfboSynthesizer(options).run(problem, 5);
 
-  telemetry::CollectingTraceSink sink;
-  bo::SynthesisResult traced;
-  {
-    telemetry::ScopedTraceSink scope(&sink);
-    traced = bo::MfboSynthesizer(options).run(problem, 5);
-  }
+  std::string trace;
+  options.observer = [&trace](const bo::IterationRecord& r) {
+    trace += bo::iterationJson(r).dump();
+  };
+  const bo::SynthesisResult traced =
+      bo::MfboSynthesizer(options).run(problem, 5);
 
-  EXPECT_GT(sink.events.size(), 0u);
+  EXPECT_FALSE(trace.empty());
   EXPECT_EQ(plain.history.size(), traced.history.size());
   EXPECT_EQ(plain.best_eval.objective, traced.best_eval.objective);
   EXPECT_EQ(plain.n_low, traced.n_low);
   EXPECT_EQ(plain.n_high, traced.n_high);
-}
-
-TEST(Trace, NullSinkEmitsNothing) {
-  ASSERT_FALSE(telemetry::traceEnabled());
-  problems::ForresterProblem problem;
-  // No observer, no sink: the run must not emit or collect anything.
-  bo::MfboSynthesizer(tinyMfbo()).run(problem, 5);
-  EXPECT_EQ(telemetry::traceSink(), nullptr);
-}
-
-TEST(Trace, WriterWritesOneLinePerEvent) {
-  const std::string path = "test_telemetry_writer.jsonl";
-  {
-    telemetry::TraceWriter writer(path);
-    Json e = Json::object();
-    e.set("type", "a");
-    writer.write(e);
-    e.set("type", "b");
-    writer.write(e);
-    EXPECT_EQ(writer.eventsWritten(), 2u);
-  }
-  const std::string text = readFile(path);
-  EXPECT_EQ(text, "{\"type\":\"a\"}\n{\"type\":\"b\"}\n");
-  std::remove(path.c_str());
-}
-
-TEST(Trace, WriterThrowsOnUnopenablePath) {
-  EXPECT_THROW(telemetry::TraceWriter("/nonexistent-dir/trace.jsonl"),
-               std::runtime_error);
-}
-
-TEST(Trace, WriterCountsWriteErrorsAndWarnsOnce) {
-  // /dev/full accepts the open but fails every flush with ENOSPC — the
-  // canonical disk-full simulation.
-  std::FILE* full = std::fopen("/dev/full", "w");
-  if (full == nullptr) GTEST_SKIP() << "/dev/full unavailable";
-  telemetry::Counter& errors =
-      telemetry::counter("telemetry.trace_write_errors");
-  errors.reset();
-  {
-    telemetry::TraceWriter writer(full);  // borrowed stream
-    Json e = Json::object();
-    e.set("type", "doomed");
-    ::testing::internal::CaptureStderr();
-    writer.write(e);
-    writer.write(e);
-    const std::string warning = ::testing::internal::GetCapturedStderr();
-    // Dropped events never count as written; every failure is counted.
-    EXPECT_EQ(writer.eventsWritten(), 0u);
-    EXPECT_EQ(writer.writeErrors(), 2u);
-    EXPECT_EQ(errors.value(), 2u);
-    // Exactly one stderr warning per writer, not one per event.
-    const std::string needle = "trace write failed";
-    std::size_t occurrences = 0;
-    for (std::size_t pos = warning.find(needle); pos != std::string::npos;
-         pos = warning.find(needle, pos + needle.size()))
-      ++occurrences;
-    EXPECT_EQ(occurrences, 1u);
-  }
-  std::fclose(full);
-  errors.reset();
 }
 
 }  // namespace

@@ -52,18 +52,12 @@ TIMING_KEY_RE = re.compile(r"(_s|_seconds)$")
 # Higher is better for these; regression direction flips.
 HIGHER_IS_BETTER = {"speedup"}
 # Machine-state and recorder-telemetry paths compared never, not exactly:
-# peak RSS is whatever the OS measured, timeline counters only exist when
-# a trace was recorded alongside the run, health snapshots and latency-
-# histogram quantiles are wall-clock SLO data, and the flight recorder's
-# drop count depends on how much the wall-clock mode journalled.
+# peak RSS is whatever the OS measured, and timeline counters (e.g.
+# `timeline.write_errors` in `metrics.counters`) only exist when a
+# timeline was recorded alongside the run.
 DEFAULT_IGNORE = (
     "*peak_rss*",
     "*timeline.*",
-    "health.*",
-    "*.p50_s",
-    "*.p90_s",
-    "*.p99_s",
-    "*eventlog.dropped*",
 )
 
 
