@@ -105,7 +105,7 @@ void BM_NargpPredictHigh(benchmark::State& state) {
   Rng rng(5);
   const std::size_t n_low = 60;
   const std::size_t n_high = static_cast<std::size_t>(state.range(0));
-  const std::size_t d = 5;
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
   const auto box = linalg::Box::unitCube(d);
   std::vector<Vector> xl = linalg::latinHypercube(n_low, box, rng);
   std::vector<Vector> xh = linalg::latinHypercube(n_high, box, rng);
@@ -124,7 +124,12 @@ void BM_NargpPredictHigh(benchmark::State& state) {
   const Vector q = rng.uniformVector(d);
   for (auto _ : state) benchmark::DoNotOptimize(model.predictHigh(q).mean);
 }
-BENCHMARK(BM_NargpPredictHigh)->Arg(20)->Arg(60)->Arg(120);
+// The 36-D row is the charge pump's design space (paper §5.2).
+BENCHMARK(BM_NargpPredictHigh)
+    ->Args({20, 5})
+    ->Args({60, 5})
+    ->Args({120, 5})
+    ->Args({60, 36});
 
 }  // namespace
 

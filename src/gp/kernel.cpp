@@ -29,17 +29,25 @@ Vector Kernel::cross(const std::vector<Vector>& x,
 // ------------------------------------------------------------- SeArdKernel
 
 SeArdKernel::SeArdKernel(std::size_t dim, double sigma_f, double lengthscale)
-    : log_sigma_f_(std::log(sigma_f)), log_l_(dim, std::log(lengthscale)) {
+    : dim_(dim),
+      log_sigma_f_(std::log(sigma_f)),
+      scales_(2 * dim, std::log(lengthscale)) {
   MFBO_CHECK(dim >= 1, "dim must be >= 1");
   MFBO_CHECK(sigma_f > 0.0 && lengthscale > 0.0,
              "scales must be positive, got sigma_f=", sigma_f,
              " lengthscale=", lengthscale);
+  refreshInverseScales();
+}
+
+void SeArdKernel::refreshInverseScales() {
+  for (std::size_t i = 0; i < dim_; ++i)
+    scales_[dim_ + i] = std::exp(-scales_[i]);
 }
 
 Vector SeArdKernel::params() const {
   Vector p(numParams());
   p[0] = log_sigma_f_;
-  for (std::size_t i = 0; i < log_l_.size(); ++i) p[1 + i] = log_l_[i];
+  for (std::size_t i = 0; i < dim_; ++i) p[1 + i] = logL()[i];
   return p;
 }
 
@@ -47,7 +55,8 @@ void SeArdKernel::setParams(const Vector& p) {
   MFBO_CHECK(p.size() == numParams(), "got ", p.size(), " params, expected ",
              numParams());
   log_sigma_f_ = p[0];
-  for (std::size_t i = 0; i < log_l_.size(); ++i) log_l_[i] = p[1 + i];
+  for (std::size_t i = 0; i < dim_; ++i) scales_[i] = p[1 + i];
+  refreshInverseScales();
 }
 
 std::string SeArdKernel::paramName(std::size_t i) const {
@@ -59,20 +68,20 @@ std::string SeArdKernel::paramName(std::size_t i) const {
 double SeArdKernel::sigmaF() const { return std::exp(log_sigma_f_); }
 
 double SeArdKernel::lengthscale(std::size_t i) const {
-  MFBO_CHECK(i < log_l_.size(), "lengthscale index ", i, " out of range [0,",
-             log_l_.size(), ")");
-  return std::exp(log_l_[i]);
+  MFBO_CHECK(i < dim_, "lengthscale index ", i, " out of range [0,", dim_,
+             ")");
+  return std::exp(logL()[i]);
 }
 
 double SeArdKernel::eval(const Vector& a, const Vector& b) const {
   MFBO_DCHECK(a.size() == inputDim() && b.size() == inputDim(),
               "input dim mismatch: ", a.size(), ", ", b.size(),
               " vs kernel dim ", inputDim());
+  const double* inv_l = invL();
   double q = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const double diff = a[i] - b[i];
-    const double inv_l = std::exp(-log_l_[i]);
-    const double scaled = diff * inv_l;
+    const double scaled = diff * inv_l[i];
     q += scaled * scaled;
   }
   return std::exp(2.0 * log_sigma_f_ - 0.5 * q);
@@ -87,9 +96,9 @@ void SeArdKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
              "weight matrix is ", w.rows(), "x", w.cols(), ", expected ",
              x.size(), "x", x.size());
   const std::size_t n = x.size();
-  const std::size_t d = log_l_.size();
+  const std::size_t d = dim_;
   std::vector<double> inv_l2(d);
-  for (std::size_t i = 0; i < d; ++i) inv_l2[i] = std::exp(-2.0 * log_l_[i]);
+  for (std::size_t i = 0; i < d; ++i) inv_l2[i] = std::exp(-2.0 * logL()[i]);
   std::vector<double> scaled_sq(d);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -115,11 +124,18 @@ void SeArdKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
 NargpKernel::NargpKernel(std::size_t x_dim)
     : x_dim_(x_dim),
       log_l_rho_(std::log(0.5)),
+      inv_l_rho_(0.0),
       log_sf2_(std::log(1.0)),
-      log_l2_(x_dim, std::log(0.5)),
       log_sf3_(std::log(0.3)),
-      log_l3_(x_dim, std::log(0.5)) {
+      scales_(4 * x_dim, std::log(0.5)) {
   MFBO_CHECK(x_dim >= 1, "x_dim must be >= 1");
+  refreshInverseScales();
+}
+
+void NargpKernel::refreshInverseScales() {
+  inv_l_rho_ = std::exp(-log_l_rho_);
+  for (std::size_t i = 0; i < 2 * x_dim_; ++i)
+    scales_[2 * x_dim_ + i] = std::exp(-scales_[i]);
 }
 
 Vector NargpKernel::params() const {
@@ -127,9 +143,9 @@ Vector NargpKernel::params() const {
   std::size_t k = 0;
   p[k++] = log_l_rho_;
   p[k++] = log_sf2_;
-  for (std::size_t i = 0; i < x_dim_; ++i) p[k++] = log_l2_[i];
+  for (std::size_t i = 0; i < x_dim_; ++i) p[k++] = logL2()[i];
   p[k++] = log_sf3_;
-  for (std::size_t i = 0; i < x_dim_; ++i) p[k++] = log_l3_[i];
+  for (std::size_t i = 0; i < x_dim_; ++i) p[k++] = logL3()[i];
   return p;
 }
 
@@ -139,9 +155,10 @@ void NargpKernel::setParams(const Vector& p) {
   std::size_t k = 0;
   log_l_rho_ = p[k++];
   log_sf2_ = p[k++];
-  for (std::size_t i = 0; i < x_dim_; ++i) log_l2_[i] = p[k++];
+  for (std::size_t i = 0; i < x_dim_; ++i) scales_[i] = p[k++];
   log_sf3_ = p[k++];
-  for (std::size_t i = 0; i < x_dim_; ++i) log_l3_[i] = p[k++];
+  for (std::size_t i = 0; i < x_dim_; ++i) scales_[x_dim_ + i] = p[k++];
+  refreshInverseScales();
 }
 
 std::string NargpKernel::paramName(std::size_t i) const {
@@ -159,14 +176,15 @@ NargpKernel::Parts NargpKernel::evalParts(const Vector& a,
               "input dim mismatch: ", a.size(), ", ", b.size(),
               " vs kernel dim ", inputDim());
   const double dy = a[x_dim_] - b[x_dim_];
-  const double inv_lr = std::exp(-log_l_rho_);
-  const double k1 = std::exp(-0.5 * dy * dy * inv_lr * inv_lr);
+  const double k1 = std::exp(-0.5 * dy * dy * inv_l_rho_ * inv_l_rho_);
 
+  const double* inv_l2 = invL2();
+  const double* inv_l3 = invL3();
   double q2 = 0.0, q3 = 0.0;
   for (std::size_t i = 0; i < x_dim_; ++i) {
     const double diff = a[i] - b[i];
-    const double s2 = diff * std::exp(-log_l2_[i]);
-    const double s3 = diff * std::exp(-log_l3_[i]);
+    const double s2 = diff * inv_l2[i];
+    const double s3 = diff * inv_l3[i];
     q2 += s2 * s2;
     q3 += s3 * s3;
   }
@@ -176,7 +194,7 @@ NargpKernel::Parts NargpKernel::evalParts(const Vector& a,
 }
 
 double NargpKernel::k1Scalar(double y_a, double y_b) const {
-  const double dy = (y_a - y_b) * std::exp(-log_l_rho_);
+  const double dy = (y_a - y_b) * inv_l_rho_;
   return std::exp(-0.5 * dy * dy);
 }
 
@@ -186,14 +204,18 @@ void NargpKernel::crossXParts(const std::vector<Vector>& z,
   MFBO_CHECK(x_star.size() >= x_dim_, "x_star dim ", x_star.size(),
              " smaller than x_dim ", x_dim_);
   const std::size_t n = z.size();
-  c2 = Vector(n);
-  c3 = Vector(n);
+  // Every entry is overwritten below, so storage of the right size is
+  // reused as is.
+  if (c2.size() != n) c2 = Vector(n);
+  if (c3.size() != n) c3 = Vector(n);
+  const double* inv_l2 = invL2();
+  const double* inv_l3 = invL3();
   for (std::size_t i = 0; i < n; ++i) {
     double q2 = 0.0, q3 = 0.0;
     for (std::size_t t = 0; t < x_dim_; ++t) {
       const double diff = x_star[t] - z[i][t];
-      const double s2 = diff * std::exp(-log_l2_[t]);
-      const double s3 = diff * std::exp(-log_l3_[t]);
+      const double s2 = diff * inv_l2[t];
+      const double s3 = diff * inv_l3[t];
       q2 += s2 * s2;
       q3 += s3 * s3;
     }
@@ -223,8 +245,8 @@ void NargpKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
   const double inv_lr2 = std::exp(-2.0 * log_l_rho_);
   std::vector<double> inv_l2_sq(x_dim_), inv_l3_sq(x_dim_);
   for (std::size_t i = 0; i < x_dim_; ++i) {
-    inv_l2_sq[i] = std::exp(-2.0 * log_l2_[i]);
-    inv_l3_sq[i] = std::exp(-2.0 * log_l3_[i]);
+    inv_l2_sq[i] = std::exp(-2.0 * logL2()[i]);
+    inv_l3_sq[i] = std::exp(-2.0 * logL3()[i]);
   }
   std::vector<double> s2(x_dim_), s3(x_dim_);
 

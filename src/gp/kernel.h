@@ -60,14 +60,20 @@ class Kernel {
 /// (paper eq. 2): k(a,b) = σ_f² exp(−½ Σ_i (a_i−b_i)²/l_i²).
 ///
 /// Parameters (log space): [log σ_f, log l_1, ..., log l_d].
+///
+/// The inverse length scales 1/l_i = exp(−log l_i) are cached next to the
+/// log scales, refreshed by the constructor and setParams, so eval makes
+/// no exp per dimension. Both halves share one buffer: a kernel copy (one
+/// per NLML restart) allocates once. The gradient computes its own
+/// exp(−2·log l_i), which is not the same double as (1/l_i)².
 class SeArdKernel final : public Kernel {
  public:
   /// Unit signal variance and all length scales = @p lengthscale.
   explicit SeArdKernel(std::size_t dim, double sigma_f = 1.0,
                        double lengthscale = 0.5);
 
-  std::size_t inputDim() const override { return log_l_.size(); }
-  std::size_t numParams() const override { return 1 + log_l_.size(); }
+  std::size_t inputDim() const override { return dim_; }
+  std::size_t numParams() const override { return 1 + dim_; }
   Vector params() const override;
   void setParams(const Vector& p) override;
   std::string paramName(std::size_t i) const override;
@@ -84,8 +90,14 @@ class SeArdKernel final : public Kernel {
   }
 
  private:
+  /// Recompute the inverse half of scales_ from the log half.
+  void refreshInverseScales();
+  const double* logL() const { return scales_.data(); }
+  const double* invL() const { return scales_.data() + dim_; }
+
+  std::size_t dim_;
   double log_sigma_f_;
-  Vector log_l_;
+  std::vector<double> scales_;  // [log l_1..d | 1/l_1..d]
 };
 
 /// Nonlinear-fusion kernel of eq. (9) over augmented inputs z = [x; y_l]
@@ -98,6 +110,12 @@ class SeArdKernel final : public Kernel {
 ///
 /// Parameters (log space):
 ///   [log l_ρ,  log σ_f2, log l2_1..d,  log σ_f3, log l3_1..d]
+///
+/// As in SeArdKernel, the inverse scales 1/l_ρ, 1/l2_i and 1/l3_i are
+/// cached at construction and setParams, so eval, crossXParts and
+/// k1Scalar make no exp per dimension or per MC sample. The l2/l3 log
+/// scales and their inverses share one buffer (one allocation per copy);
+/// the gradient keeps its own exp(−2·log l).
 class NargpKernel final : public Kernel {
  public:
   /// @p x_dim is the dimensionality of the design variables (so inputDim()
@@ -140,12 +158,21 @@ class NargpKernel final : public Kernel {
   };
   Parts evalParts(const Vector& a, const Vector& b) const;
 
+  /// Recompute inv_l_rho_ and the inverse half of scales_ from the logs.
+  void refreshInverseScales();
+  const double* logL2() const { return scales_.data(); }
+  const double* logL3() const { return scales_.data() + x_dim_; }
+  const double* invL2() const { return scales_.data() + 2 * x_dim_; }
+  const double* invL3() const { return scales_.data() + 3 * x_dim_; }
+
   std::size_t x_dim_;
   double log_l_rho_;   // k1 length scale over y_l
+  double inv_l_rho_;   // exp(−log_l_rho_)
   double log_sf2_;     // k2 signal std
-  Vector log_l2_;      // k2 length scales over x
   double log_sf3_;     // k3 signal std
-  Vector log_l3_;      // k3 length scales over x
+  // [log l2_1..d | log l3_1..d | 1/l2_1..d | 1/l3_1..d]: k2 and k3 length
+  // scales over x and their inverses.
+  std::vector<double> scales_;
 };
 
 }  // namespace mfbo::gp

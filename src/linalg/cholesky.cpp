@@ -106,15 +106,21 @@ bool Cholesky::appendRow(const Vector& b, double c) {
 }
 
 Vector Cholesky::solveLower(const Vector& b) const {
+  Vector y;
+  solveLowerInto(b, y);
+  return y;
+}
+
+void Cholesky::solveLowerInto(const Vector& b, Vector& y) const {
   const std::size_t n = dim();
   MFBO_CHECK(b.size() == n, "rhs size ", b.size(), " does not match dim ", n);
-  Vector y(n);
+  MFBO_DCHECK(&b != &y, "solveLowerInto: y must not alias b");
+  if (y.size() != n) y = Vector(n);
   for (std::size_t i = 0; i < n; ++i) {
     double acc = b[i];
     for (std::size_t j = 0; j < i; ++j) acc -= l_(i, j) * y[j];
     y[i] = acc / l_(i, i);
   }
-  return y;
 }
 
 Vector Cholesky::solveUpper(const Vector& y) const {

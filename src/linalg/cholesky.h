@@ -49,6 +49,10 @@ class Cholesky {
 
   /// Solve L y = b (forward substitution).
   Vector solveLower(const Vector& b) const;
+  /// solveLower into caller storage: @p y is resized to dim() only when its
+  /// size differs, so a scratch vector reused across calls allocates once.
+  /// @p y must not alias @p b.
+  void solveLowerInto(const Vector& b, Vector& y) const;
 
   /// Solve Lᵀ x = y (backward substitution).
   Vector solveUpper(const Vector& y) const;

@@ -145,7 +145,7 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
   // and one call is far too short to pay for a pool fan-out.
   // The three sums of the law of total variance accumulate in sample order.
   double mean_acc = 0.0, mean_sq_acc = 0.0, var_acc = 0.0;
-  Vector ks(n);  // scratch, one per call
+  Vector ks(n), v(n);  // scratch, one each per call
   for (std::size_t i = 0; i < config_.n_mc; ++i) {
     const double yl = low.mean + low_sd * mc_draws_[i];
     for (std::size_t t = 0; t < n; ++t)
@@ -154,7 +154,7 @@ Prediction NargpModel::predictHigh(const Vector& x) const {
     mean_acc += sample_mean;
     mean_sq_acc += sample_mean * sample_mean;
     if (i < n_var) {
-      const Vector v = chol.solveLower(ks);
+      chol.solveLowerInto(ks, v);
       const double var_z = std::max(sn2 + k_self - v.squaredNorm(), 1e-12);
       var_acc += std_out.unapplyVariance(var_z);
     }

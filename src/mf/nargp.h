@@ -10,9 +10,9 @@
 // low-fidelity posterior out by Monte Carlo (eq. 10), using common random
 // numbers so that repeated evaluations of the same x are deterministic
 // between model updates (which the acquisition optimizer requires). The MC
-// samples fan out over the common/parallel.h pool with slot-indexed
-// outputs and an ordered accumulation, so predictions are byte-identical
-// at any thread count.
+// samples run in a serial loop that accumulates the three sums of the law
+// of total variance in sample order; nothing inside a prediction is
+// parallel, so predictions are byte-identical at any thread count.
 #pragma once
 
 #include <memory>

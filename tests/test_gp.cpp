@@ -168,6 +168,231 @@ TEST(NargpKernel, WeightedGradMatchesFiniteDifference) {
   checkWeightedGrad(k, 3, 13);
 }
 
+// ------------------------------------------------ cached inverse scales --
+//
+// Both kernels cache 1/l = exp(−log l) when their parameters change. The
+// references below recompute every exp from the log-space parameters in
+// the kernels' own order of evaluation, so a cache that is refreshed at
+// the right times matches them bit for bit (EXPECT_EQ on doubles).
+
+double seArdReference(const Vector& p, const Vector& a, const Vector& b) {
+  double q = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double diff = a[i] - b[i];
+    const double inv_l = std::exp(-p[1 + i]);
+    const double scaled = diff * inv_l;
+    q += scaled * scaled;
+  }
+  return std::exp(2.0 * p[0] - 0.5 * q);
+}
+
+// NargpKernel parameter layout: [log l_ρ, log σ_f2, log l2_1..d, log σ_f3,
+// log l3_1..d].
+double nargpK1Reference(const Vector& p, double y_a, double y_b) {
+  const double dy = (y_a - y_b) * std::exp(-p[0]);
+  return std::exp(-0.5 * dy * dy);
+}
+
+void nargpXPartsReference(const Vector& p, std::size_t d, const Vector& a,
+                          const Vector& b, double& k2, double& k3) {
+  double q2 = 0.0, q3 = 0.0;
+  for (std::size_t i = 0; i < d; ++i) {
+    const double diff = a[i] - b[i];
+    const double s2 = diff * std::exp(-p[2 + i]);
+    const double s3 = diff * std::exp(-p[3 + d + i]);
+    q2 += s2 * s2;
+    q3 += s3 * s3;
+  }
+  k2 = std::exp(2.0 * p[1] - 0.5 * q2);
+  k3 = std::exp(2.0 * p[2 + d] - 0.5 * q3);
+}
+
+double nargpReference(const Vector& p, std::size_t d, const Vector& a,
+                      const Vector& b) {
+  const double dy = a[d] - b[d];
+  const double inv_lr = std::exp(-p[0]);
+  const double k1 = std::exp(-0.5 * dy * dy * inv_lr * inv_lr);
+  double k2 = 0.0, k3 = 0.0;
+  nargpXPartsReference(p, d, a, b, k2, k3);
+  return k1 * k2 + k3;
+}
+
+std::vector<Vector> randomPoints(std::size_t n, std::size_t dim, Rng& rng) {
+  std::vector<Vector> pts;
+  for (std::size_t i = 0; i < n; ++i) pts.push_back(rng.uniformVector(dim));
+  return pts;
+}
+
+void expectSeArdMatchesReference(const SeArdKernel& k, const Vector& p,
+                                 const std::vector<Vector>& pts) {
+  ASSERT_EQ(k.params().raw(), p.raw());
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    for (std::size_t j = 0; j < pts.size(); ++j)
+      EXPECT_EQ(k.eval(pts[i], pts[j]), seArdReference(p, pts[i], pts[j]))
+          << "pair " << i << "," << j;
+  const Vector c = k.cross(pts, pts[0]);
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    EXPECT_EQ(c[i], seArdReference(p, pts[0], pts[i])) << "row " << i;
+}
+
+void expectNargpMatchesReference(const NargpKernel& k, const Vector& p,
+                                 const std::vector<Vector>& z) {
+  ASSERT_EQ(k.params().raw(), p.raw());
+  const std::size_t d = k.xDim();
+  for (std::size_t i = 0; i < z.size(); ++i)
+    for (std::size_t j = 0; j < z.size(); ++j)
+      EXPECT_EQ(k.eval(z[i], z[j]), nargpReference(p, d, z[i], z[j]))
+          << "pair " << i << "," << j;
+  // Pre-sized outputs are reused by crossXParts; they must be overwritten.
+  Vector c2(z.size(), -1.0), c3(z.size(), -1.0);
+  for (const Vector& x_star : z) {
+    k.crossXParts(z, x_star, c2, c3);
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      double k2 = 0.0, k3 = 0.0;
+      nargpXPartsReference(p, d, x_star, z[i], k2, k3);
+      EXPECT_EQ(c2[i], k2) << "row " << i;
+      EXPECT_EQ(c3[i], k3) << "row " << i;
+    }
+  }
+  for (std::size_t i = 0; i < z.size(); ++i)
+    for (std::size_t j = 0; j < z.size(); ++j)
+      EXPECT_EQ(k.k1Scalar(z[i][d], z[j][d]),
+                nargpK1Reference(p, z[i][d], z[j][d]));
+  EXPECT_EQ(k.selfVariance(),
+            std::exp(2.0 * p[1]) + std::exp(2.0 * p[2 + d]));
+}
+
+TEST(SeArdKernel, CachedInverseScalesMatchLogSpaceReference) {
+  Rng rng(31);
+  const std::size_t d = 4;
+  const std::vector<Vector> pts = randomPoints(6, d, rng);
+  SeArdKernel k(d, 1.3, 0.6);
+  expectSeArdMatchesReference(k, k.params(), pts);  // after construction
+
+  const Vector p = rng.normalVector(k.numParams());
+  k.setParams(p);
+  expectSeArdMatchesReference(k, p, pts);
+
+  const std::unique_ptr<Kernel> copy = k.clone();
+  const Vector q = rng.normalVector(k.numParams());
+  copy->setParams(q);
+  expectSeArdMatchesReference(static_cast<const SeArdKernel&>(*copy), q, pts);
+  expectSeArdMatchesReference(k, p, pts);  // the original keeps its cache
+}
+
+TEST(NargpKernel, CachedInverseScalesMatchLogSpaceReference) {
+  Rng rng(37);
+  const std::size_t d = 3;
+  const std::vector<Vector> z = randomPoints(6, d + 1, rng);
+  NargpKernel k(d);
+  expectNargpMatchesReference(k, k.params(), z);  // after construction
+
+  const Vector p = rng.normalVector(k.numParams());
+  k.setParams(p);
+  expectNargpMatchesReference(k, p, z);
+
+  const std::unique_ptr<Kernel> copy = k.clone();
+  const Vector q = rng.normalVector(k.numParams());
+  copy->setParams(q);
+  expectNargpMatchesReference(static_cast<const NargpKernel&>(*copy), q, z);
+  expectNargpMatchesReference(k, p, z);  // the original keeps its cache
+}
+
+// The gradient keeps its own exp(−2·log l), a different double from the
+// square of the cached 1/l; these references are its log-space formulas.
+Vector seArdGradReference(const Vector& p, const std::vector<Vector>& x,
+                          const Matrix& w) {
+  const std::size_t d = p.size() - 1;
+  Vector grad(p.size());
+  std::vector<double> inv_l2(d), scaled_sq(d);
+  for (std::size_t t = 0; t < d; ++t) inv_l2[t] = std::exp(-2.0 * p[1 + t]);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      double q = 0.0;
+      for (std::size_t t = 0; t < d; ++t) {
+        const double diff = x[i][t] - x[j][t];
+        scaled_sq[t] = diff * diff * inv_l2[t];
+        q += scaled_sq[t];
+      }
+      const double k = std::exp(2.0 * p[0] - 0.5 * q);
+      const double weight = (i == j) ? w(i, j) : 2.0 * w(i, j);
+      grad[0] += weight * 2.0 * k;
+      for (std::size_t t = 0; t < d; ++t)
+        grad[1 + t] += weight * k * scaled_sq[t];
+    }
+  return grad;
+}
+
+Vector nargpGradReference(const Vector& p, std::size_t d,
+                          const std::vector<Vector>& x, const Matrix& w) {
+  Vector grad(p.size());
+  const double inv_lr2 = std::exp(-2.0 * p[0]);
+  std::vector<double> inv_l2_sq(d), inv_l3_sq(d), s2(d), s3(d);
+  for (std::size_t t = 0; t < d; ++t) {
+    inv_l2_sq[t] = std::exp(-2.0 * p[2 + t]);
+    inv_l3_sq[t] = std::exp(-2.0 * p[3 + d + t]);
+  }
+  for (std::size_t i = 0; i < x.size(); ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double dy = x[i][d] - x[j][d];
+      const double ry = dy * dy * inv_lr2;
+      const double k1 = std::exp(-0.5 * ry);
+      double q2 = 0.0, q3 = 0.0;
+      for (std::size_t t = 0; t < d; ++t) {
+        const double diff = x[i][t] - x[j][t];
+        s2[t] = diff * diff * inv_l2_sq[t];
+        s3[t] = diff * diff * inv_l3_sq[t];
+        q2 += s2[t];
+        q3 += s3[t];
+      }
+      const double k2 = std::exp(2.0 * p[1] - 0.5 * q2);
+      const double k3 = std::exp(2.0 * p[2 + d] - 0.5 * q3);
+      const double weight = (i == j) ? w(i, j) : 2.0 * w(i, j);
+      const double k12 = k1 * k2;
+      std::size_t g = 0;
+      grad[g++] += weight * k12 * ry;
+      grad[g++] += weight * 2.0 * k12;
+      for (std::size_t t = 0; t < d; ++t) grad[g++] += weight * k12 * s2[t];
+      grad[g++] += weight * 2.0 * k3;
+      for (std::size_t t = 0; t < d; ++t) grad[g++] += weight * k3 * s3[t];
+    }
+  return grad;
+}
+
+Matrix symmetricWeights(std::size_t n, Rng& rng) {
+  Matrix w(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      w(i, j) = rng.normal();
+      w(j, i) = w(i, j);
+    }
+  return w;
+}
+
+TEST(SeArdKernel, WeightedGradIsBitEqualToLogSpaceReference) {
+  Rng rng(41);
+  const std::vector<Vector> x = randomPoints(6, 3, rng);
+  const Matrix w = symmetricWeights(6, rng);
+  SeArdKernel k(3);
+  const Vector p{0.2, -0.4, 0.1, -0.8};
+  k.setParams(p);
+  Vector grad(k.numParams());
+  k.accumulateWeightedGrad(x, w, grad);
+  EXPECT_EQ(grad.raw(), seArdGradReference(p, x, w).raw());
+}
+
+TEST(NargpKernel, WeightedGradIsBitEqualToLogSpaceReference) {
+  Rng rng(43);
+  const std::vector<Vector> x = randomPoints(6, 3, rng);
+  const Matrix w = symmetricWeights(6, rng);
+  NargpKernel k(2);
+  const Vector p{-0.3, 0.2, -0.5, 0.4, -0.2, 0.1, -0.6};
+  k.setParams(p);
+  Vector grad(k.numParams());
+  k.accumulateWeightedGrad(x, w, grad);
+  EXPECT_EQ(grad.raw(), nargpGradReference(p, 2, x, w).raw());
+}
+
 // ------------------------------------------------------------------- NLML --
 
 TEST(Nlml, MatchesDirectFormula) {

@@ -320,6 +320,20 @@ TEST(Cholesky, TriangularSolvesCompose) {
   EXPECT_LT(maxAbsDiff(via_parts, direct), 1e-14);
 }
 
+TEST(Cholesky, SolveLowerIntoReusesStorageAndMatchesSolveLower) {
+  Rng rng(31);
+  Cholesky chol = Cholesky::factor(randomSpd(5, rng));
+  Vector y;  // resized on first use
+  for (int rep = 0; rep < 3; ++rep) {
+    const Vector b = rng.normalVector(5);
+    chol.solveLowerInto(b, y);
+    const double* storage = y.data();
+    chol.solveLowerInto(b, y);  // right size already: same buffer
+    EXPECT_EQ(y.data(), storage);
+    EXPECT_EQ(y.raw(), chol.solveLower(b).raw());
+  }
+}
+
 // ------------------------------------------------------------------- Rng --
 
 TEST(Rng, Deterministic) {
