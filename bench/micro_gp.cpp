@@ -63,7 +63,11 @@ void BM_NlmlWithGradient(benchmark::State& state) {
         kernel, std::log(0.1), data.x, data.y, &grad));
   }
 }
+// {30, 5} and {33, 36} are sizes the service's sessions fit: the 5-D power
+// amplifier and the 36-D charge pump (paper §5).
 BENCHMARK(BM_NlmlWithGradient)
+    ->Args({30, 5})
+    ->Args({33, 36})
     ->Args({50, 5})
     ->Args({100, 5})
     ->Args({100, 36})

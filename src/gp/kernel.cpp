@@ -100,21 +100,30 @@ void SeArdKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
   std::vector<double> inv_l2(d);
   for (std::size_t i = 0; i < d; ++i) inv_l2[i] = std::exp(-2.0 * logL()[i]);
   std::vector<double> scaled_sq(d);
+  double* g = grad.data();
 
+  // Rows are read through raw pointers after one size check each (rows
+  // j ≤ i were checked as row j). The q sum stays serial and in order;
+  // the per-dimension update of g is element-wise.
   for (std::size_t i = 0; i < n; ++i) {
+    MFBO_CHECK(x[i].size() == d, "input ", i, " has dim ", x[i].size(),
+               ", expected ", d);
+    const double* xi = x[i].data();
     for (std::size_t j = 0; j <= i; ++j) {
+      const double* xj = x[j].data();
       double q = 0.0;
       for (std::size_t t = 0; t < d; ++t) {
-        const double diff = x[i][t] - x[j][t];
+        const double diff = xi[t] - xj[t];
         scaled_sq[t] = diff * diff * inv_l2[t];
         q += scaled_sq[t];
       }
       const double k = std::exp(2.0 * log_sigma_f_ - 0.5 * q);
       const double weight = (i == j) ? w(i, j) : 2.0 * w(i, j);
-      // ∂k/∂log σ_f = 2k ; ∂k/∂log l_t = k · (Δ_t/l_t)².
-      grad[0] += weight * 2.0 * k;
-      for (std::size_t t = 0; t < d; ++t)
-        grad[1 + t] += weight * k * scaled_sq[t];
+      // ∂k/∂log σ_f = 2k ; ∂k/∂log l_t = k · (Δ_t/l_t)². weight·k·s
+      // evaluates as (weight·k)·s, so hoisting weight·k keeps the bits.
+      g[0] += weight * 2.0 * k;
+      const double wk = weight * k;
+      for (std::size_t t = 0; t < d; ++t) g[1 + t] += wk * scaled_sq[t];
     }
   }
 }
@@ -249,15 +258,22 @@ void NargpKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
     inv_l3_sq[i] = std::exp(-2.0 * logL3()[i]);
   }
   std::vector<double> s2(x_dim_), s3(x_dim_);
+  const std::size_t d = x_dim_;
+  double* g = grad.data();
 
+  // Raw row pointers after one size check per row, as in SeArdKernel.
   for (std::size_t i = 0; i < n; ++i) {
+    MFBO_CHECK(x[i].size() == d + 1, "input ", i, " has dim ", x[i].size(),
+               ", expected ", d + 1);
+    const double* xi = x[i].data();
     for (std::size_t j = 0; j <= i; ++j) {
-      const double dy = x[i][x_dim_] - x[j][x_dim_];
+      const double* xj = x[j].data();
+      const double dy = xi[d] - xj[d];
       const double ry = dy * dy * inv_lr2;  // (Δy/l_ρ)²
       const double k1 = std::exp(-0.5 * ry);
       double q2 = 0.0, q3 = 0.0;
-      for (std::size_t t = 0; t < x_dim_; ++t) {
-        const double diff = x[i][t] - x[j][t];
+      for (std::size_t t = 0; t < d; ++t) {
+        const double diff = xi[t] - xj[t];
         s2[t] = diff * diff * inv_l2_sq[t];
         s3[t] = diff * diff * inv_l3_sq[t];
         q2 += s2[t];
@@ -267,15 +283,16 @@ void NargpKernel::accumulateWeightedGrad(const std::vector<Vector>& x,
       const double k3 = std::exp(2.0 * log_sf3_ - 0.5 * q3);
       const double weight = (i == j) ? w(i, j) : 2.0 * w(i, j);
       const double k12 = k1 * k2;
+      const double wk12 = weight * k12;
+      const double wk3 = weight * k3;
 
-      std::size_t g = 0;
-      grad[g++] += weight * k12 * ry;          // ∂/∂log l_ρ
-      grad[g++] += weight * 2.0 * k12;         // ∂/∂log σ_f2
-      for (std::size_t t = 0; t < x_dim_; ++t)
-        grad[g++] += weight * k12 * s2[t];     // ∂/∂log l2_t
-      grad[g++] += weight * 2.0 * k3;          // ∂/∂log σ_f3
-      for (std::size_t t = 0; t < x_dim_; ++t)
-        grad[g++] += weight * k3 * s3[t];      // ∂/∂log l3_t
+      g[0] += wk12 * ry;                        // ∂/∂log l_ρ
+      g[1] += weight * 2.0 * k12;               // ∂/∂log σ_f2
+      for (std::size_t t = 0; t < d; ++t)
+        g[2 + t] += wk12 * s2[t];               // ∂/∂log l2_t
+      g[2 + d] += weight * 2.0 * k3;            // ∂/∂log σ_f3
+      for (std::size_t t = 0; t < d; ++t)
+        g[3 + d + t] += wk3 * s3[t];            // ∂/∂log l3_t
     }
   }
 }

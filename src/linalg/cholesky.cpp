@@ -139,15 +139,6 @@ Vector Cholesky::solve(const Vector& b) const {
   return solveUpper(solveLower(b));
 }
 
-Matrix Cholesky::solveMatrix(const Matrix& b) const {
-  MFBO_CHECK(b.rows() == dim(), "rhs rows ", b.rows(),
-             " do not match dim ", dim());
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c)
-    x.setCol(c, solve(b.col(c)));
-  return x;
-}
-
 double Cholesky::logDet() const {
   double acc = 0.0;
   for (std::size_t i = 0; i < dim(); ++i) acc += std::log(l_(i, i));
@@ -155,7 +146,38 @@ double Cholesky::logDet() const {
 }
 
 Matrix Cholesky::inverse() const {
-  return solveMatrix(Matrix::identity(dim()));
+  const std::size_t n = dim();
+  const double* l = l_.data();
+  Matrix inv = Matrix::identity(n);
+  double* rows = inv.data();
+  // Forward pass L·Y = I, one row of Y at a time. Term j of row i touches
+  // only columns c ≤ j: for c > j, column c of Y is +0 in rows ≤ j, and
+  // subtracting l_ij·(+0) from an accumulator that is still +0 (or 1 on
+  // the diagonal) leaves it unchanged, so skipping those terms is exact.
+  for (std::size_t i = 0; i < n; ++i) {
+    double* yi = rows + i * n;
+    const double* li = l + i * n;
+    for (std::size_t j = 0; j < i; ++j) {
+      const double lij = li[j];
+      const double* yj = rows + j * n;
+      for (std::size_t c = 0; c <= j; ++c) yi[c] -= lij * yj[c];
+    }
+    const double lii = li[i];
+    for (std::size_t c = 0; c <= i; ++c) yi[c] /= lii;
+  }
+  // Backward pass Lᵀ·X = Y in place, from the last row up: row i of the
+  // buffer still holds Y while every row below it already holds X.
+  for (std::size_t i = n; i-- > 0;) {
+    double* xi = rows + i * n;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double lji = l[j * n + i];
+      const double* xj = rows + j * n;
+      for (std::size_t c = 0; c < n; ++c) xi[c] -= lji * xj[c];
+    }
+    const double lii = l[i * n + i];
+    for (std::size_t c = 0; c < n; ++c) xi[c] /= lii;
+  }
+  return inv;
 }
 
 }  // namespace mfbo::linalg

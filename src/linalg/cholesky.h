@@ -44,9 +44,6 @@ class Cholesky {
   /// Solve A x = b via two triangular solves.
   Vector solve(const Vector& b) const;
 
-  /// Solve A X = B column-by-column.
-  Matrix solveMatrix(const Matrix& b) const;
-
   /// Solve L y = b (forward substitution).
   Vector solveLower(const Vector& b) const;
   /// solveLower into caller storage: @p y is resized to dim() only when its
@@ -60,7 +57,16 @@ class Cholesky {
   /// log|A| = 2·Σ log L_ii — used directly in the GP marginal likelihood.
   double logDet() const;
 
-  /// Explicit A⁻¹ (needed for the NLML gradient trace terms).
+  /// Explicit A⁻¹, bit-for-bit equal to solve(e_c) for every column c.
+  ///
+  /// All n right-hand sides are solved at once on one row-major buffer: a
+  /// forward pass L·Y = I, then an in-place backward pass Lᵀ·X = Y. The
+  /// innermost loop runs over the columns, so the n independent solves
+  /// overlap instead of each being one serial dependency chain, and every
+  /// entry still sees the single-column loop's operations in the same
+  /// order. The forward pass skips the terms that meet a structural zero
+  /// of I; they would subtract ±0 from a +0 (or 1) accumulator, which
+  /// leaves it unchanged.
   Matrix inverse() const;
 
   const Matrix& lower() const { return l_; }

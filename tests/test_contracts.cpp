@@ -192,7 +192,6 @@ TEST(CholeskyContracts, SolvesValidateRhsDimension) {
   EXPECT_THROW(chol.solve(Vector{1.0}), ContractViolation);
   EXPECT_THROW(chol.solveLower(Vector{1.0, 2.0, 3.0}), ContractViolation);
   EXPECT_THROW(chol.solveUpper(Vector{1.0}), ContractViolation);
-  EXPECT_THROW(chol.solveMatrix(Matrix(3, 2)), ContractViolation);
 }
 
 TEST(CholeskyContracts, JitterLadderStillWorksOnValidInput) {

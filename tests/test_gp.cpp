@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 #include "gp/gp_regressor.h"
@@ -391,6 +392,66 @@ TEST(NargpKernel, WeightedGradIsBitEqualToLogSpaceReference) {
   Vector grad(k.numParams());
   k.accumulateWeightedGrad(x, w, grad);
   EXPECT_EQ(grad.raw(), nargpGradReference(p, 2, x, w).raw());
+}
+
+// The gradient contraction reads rows through raw pointers and hoists
+// weight·k out of the per-dimension update; both must keep every bit of
+// the per-element loop above, at the 5-D and the 36-D (charge pump) sizes.
+template <typename K>
+void expectWeightedGradBitEqual(const K& k, const Vector& reference,
+                                const std::vector<Vector>& x,
+                                const Matrix& w) {
+  Vector grad(k.numParams());
+  k.accumulateWeightedGrad(x, w, grad);
+  ASSERT_EQ(grad.size(), reference.size());
+  EXPECT_EQ(std::memcmp(grad.data(), reference.data(),
+                        grad.size() * sizeof(double)),
+            0)
+      << "d=" << k.inputDim();
+}
+
+TEST(SeArdKernel, WeightedGradMatchesReferenceBitForBit) {
+  Rng rng(47);
+  for (const std::size_t d : {5u, 36u}) {
+    const std::vector<Vector> x = randomPoints(17, d, rng);
+    const Matrix w = symmetricWeights(17, rng);
+    SeArdKernel k(d);
+    const Vector p = rng.normalVector(k.numParams());
+    k.setParams(p);
+    expectWeightedGradBitEqual(k, seArdGradReference(p, x, w), x, w);
+  }
+}
+
+TEST(NargpKernel, WeightedGradMatchesReferenceBitForBit) {
+  Rng rng(53);
+  for (const std::size_t d : {5u, 36u}) {
+    const std::vector<Vector> x = randomPoints(17, d + 1, rng);
+    const Matrix w = symmetricWeights(17, rng);
+    NargpKernel k(d);
+    const Vector p = rng.normalVector(k.numParams());
+    k.setParams(p);
+    expectWeightedGradBitEqual(k, nargpGradReference(p, d, x, w), x, w);
+  }
+}
+
+TEST(SeArdKernel, WeightedGradRejectsInputsOfTheWrongDim) {
+  Rng rng(59);
+  const Matrix w = symmetricWeights(4, rng);
+  std::vector<Vector> x = randomPoints(4, 3, rng);
+  x[2] = rng.uniformVector(4);  // one row too long for the 3-D kernel
+  SeArdKernel k(3);
+  Vector grad(k.numParams());
+  EXPECT_THROW(k.accumulateWeightedGrad(x, w, grad), mfbo::ContractViolation);
+}
+
+TEST(NargpKernel, WeightedGradRejectsInputsOfTheWrongDim) {
+  Rng rng(61);
+  const Matrix w = symmetricWeights(4, rng);
+  std::vector<Vector> z = randomPoints(4, 4, rng);
+  z[3] = rng.uniformVector(3);  // the last row lacks its y_l coordinate
+  NargpKernel k(3);
+  Vector grad(k.numParams());
+  EXPECT_THROW(k.accumulateWeightedGrad(z, w, grad), mfbo::ContractViolation);
 }
 
 // ------------------------------------------------------------------- NLML --

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/check.h"
@@ -287,6 +288,43 @@ TEST(Cholesky, InverseTimesMatrixIsIdentity) {
   Matrix a = randomSpd(5, rng);
   Matrix inv = Cholesky::factor(a).inverse();
   EXPECT_LT(Matrix::maxAbsDiff(a * inv, Matrix::identity(5)), 1e-9);
+}
+
+// Reference for inverse(): column c is the single-column solve of e_c.
+Matrix inverseByColumnSolves(const Cholesky& chol) {
+  const std::size_t n = chol.dim();
+  Matrix ref(n, n);
+  for (std::size_t c = 0; c < n; ++c) {
+    Vector e(n);
+    e[c] = 1.0;
+    ref.setCol(c, chol.solve(e));
+  }
+  return ref;
+}
+
+void expectInverseBitEqualToColumnSolves(const Cholesky& chol) {
+  const std::size_t n = chol.dim();
+  const Matrix inv = chol.inverse();
+  const Matrix ref = inverseByColumnSolves(chol);
+  ASSERT_EQ(inv.rows(), n);
+  ASSERT_EQ(inv.cols(), n);
+  EXPECT_EQ(std::memcmp(inv.data(), ref.data(), n * n * sizeof(double)), 0)
+      << "n=" << n << " max |diff| " << Matrix::maxAbsDiff(inv, ref);
+}
+
+TEST(Cholesky, InverseMatchesColumnSolvesBitForBit) {
+  Rng rng(29);
+  for (std::size_t n = 1; n <= 64; ++n)
+    expectInverseBitEqualToColumnSolves(Cholesky::factor(randomSpd(n, rng)));
+
+  // A rank-3 Gram matrix of 24 points is singular, so only the jitter
+  // ladder factors it.
+  Matrix g(3, 24);
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 24; ++c) g(r, c) = rng.normal();
+  const Cholesky jittered = Cholesky::factorWithJitter(gramTN(g, g));
+  EXPECT_GT(jittered.jitterUsed(), 0.0);
+  expectInverseBitEqualToColumnSolves(jittered);
 }
 
 TEST(Cholesky, ThrowsOnIndefinite) {

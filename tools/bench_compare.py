@@ -21,7 +21,9 @@ Supports both artifact families the repo produces:
 
   * google-benchmark JSON (micro_gp, micro_circuit with
     `--benchmark_format=json`): benchmarks are matched by name and their
-    `cpu_time` compared with the same direction-aware tolerance.
+    `cpu_time` compared with the same direction-aware tolerance. Files
+    recorded with `--benchmark_repetitions` are compared on their
+    `median` aggregate rows only, the normalizer included.
     `--normalize-by NAME` divides every time by the named benchmark's
     time from the same file first, cancelling absolute machine speed so
     committed baselines stay meaningful across hosts.
@@ -150,14 +152,18 @@ class Comparison:
 def compare_google_benchmark(cmp: Comparison, base: dict,
                              cur: dict) -> None:
     def index(doc: dict) -> dict:
-        table = {}
-        for bench in doc.get("benchmarks", []):
-            # Repetition aggregates carry the same name; keep the mean.
-            if bench.get("run_type") == "aggregate" and \
-                    bench.get("aggregate_name") != "mean":
-                continue
-            table[bench["name"]] = bench
-        return table
+        # A run with --benchmark_repetitions is compared by its median
+        # aggregate rows, keyed by run name; mean, stddev, cv and the
+        # complexity fits (BigO, RMS) are not times to gate. A file of
+        # single readings is compared row by row.
+        rows = doc.get("benchmarks", [])
+        medians = {bench["run_name"]: bench for bench in rows
+                   if bench.get("run_type") == "aggregate" and
+                   bench.get("aggregate_name") == "median"}
+        if medians:
+            return medians
+        return {bench["name"]: bench for bench in rows
+                if bench.get("run_type") != "aggregate"}
 
     base_by_name = index(base)
     cur_by_name = index(cur)

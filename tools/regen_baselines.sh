@@ -56,8 +56,11 @@ cmake --build --preset release -j "$(nproc)" \
 # google-benchmark timings; the perf gate normalizes by a reference
 # benchmark (BM_Cholesky/64) to cancel absolute machine speed. One pool
 # thread, as in the gate: cpu_time only counts the calling thread, so with
-# more threads BM_GpTrain would miss its parallel NLML restarts.
+# more threads BM_GpTrain would miss its parallel NLML restarts. Five
+# repetitions, and the gate compares their medians: one reading per row
+# swings too much on a shared host to gate at 30%.
 MFBO_THREADS=1 "${build_dir}/bench/micro_gp" --benchmark_min_time=0.05 \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
   --benchmark_out="${out_dir}/BENCH_micro_gp.json" \
   --benchmark_out_format=json
 
